@@ -3,7 +3,8 @@
 The package models a circularly driven qubit whose invariant is known in
 closed form, verifies the resulting phase structure by brute-force
 propagation, and composes the one-parameter holonomic gate family into
-arbitrary one-qubit unitaries by derivative-free search.
+arbitrary one-qubit unitaries by a least-squares search with an exact
+Jacobian.
 """
 
 from .drive import (

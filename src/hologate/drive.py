@@ -54,6 +54,9 @@ class DriveParams:
     omega_drive: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega_rabi", "detuning", "omega_drive"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega_drive > 0:
             raise ValueError(f"omega_drive must be > 0, got {self.omega_drive}")
         if self.omega_rabi < 0:

@@ -1,10 +1,13 @@
 """Compose the one-parameter holonomic gate family into arbitrary one-qubit
 unitaries, and search for pulse sequences that hit a target gate.
 
-The composed product is tracked as a real quaternion (w, v) with
-U = w I + i v.sigma, which makes one objective evaluation a handful of float
-operations; the search itself is multi-start Nelder-Mead on [0, pi/2]^N with
-out-of-range trial points folded back by reflection at the bounds.
+The search tracks the composed product as a real unit quaternion (w, v) with
+U = w I + i v.sigma and drives the residual q(beta) - s q_target to zero with
+Levenberg-Marquardt steps, every random start advancing in lockstep in one
+numpy batch. The Jacobian is exact: the product rule over prefix and suffix
+products of the pulse quaternions, i.e. the GRAPE gradient (Khaneja et al.,
+J. Magn. Reson. 172, 296 (2005)). Coordinates are unconstrained and folded
+into [0, pi/2] by reflection at the bounds.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .drive import HolonomicGate, analytic_gate
 from .su2 import FidelityReport, fidelity, max_abs
@@ -65,16 +67,16 @@ class TargetGate:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the multi-start simplex search."""
+    """Settings for the multi-start least-squares search."""
 
     restarts: int = 100
-    max_evaluations: int = 5000  # per simplex run
     tolerance: float = 1e-9  # infidelity at which the search counts as converged
-    fatol: float = 1e-14
-    xatol: float = 1e-10
-    phase_sensitive: bool = False  # minimize 1 - Re tr/2 instead of 1 - |tr|/2
-    stop_at_tolerance: bool = True  # skip remaining restarts once converged
-    polish_rounds: int = 2  # fresh simplexes seeded at the incumbent
+
+    def __post_init__(self):
+        if not self.restarts >= 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -154,113 +156,123 @@ def noncommutativity_witness(b1: float, b2: float) -> float:
     return max_abs(u1 @ u2 - u2 @ u1)
 
 
-# --- quaternion fast path -------------------------------------------------
-#
-# U = w I + i (x sx + y sy + z sz) with (w, x, y, z) real and unit norm.
+# --- quaternion search -----------------------------------------------------
+# U = w I + i (x sx + y sy + z sz) is the unit quaternion (w, x, y, z), kept on
+# an array's last axis with one start per row.
+
+#: Starts advanced in one lockstep batch; bounds memory for large restart counts.
+_CHUNK = 128
+#: Levenberg-Marquardt iterations per batch.
+_MAX_ITERATIONS = 60
 
 
-def _gate_quat(beta: float) -> tuple[float, float, float, float]:
-    s = math.sin(beta)
-    ps = math.pi * s
-    sp = math.sin(ps)
-    return (-math.cos(ps), math.cos(beta) * sp, 0.0, -s * sp)
-
-
-def _quat_mul(a, b):
-    """Quaternion of A @ B (A applied after B)."""
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + w2 * x1 - (y1 * z2 - z1 * y2),
-        w1 * y2 + w2 * y1 - (z1 * x2 - x1 * z2),
-        w1 * z2 + w2 * z1 - (x1 * y2 - y1 * x2),
-    )
-
-
-def _pauli_coefficients(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    """Coefficients (a, bx, by, bz) of m = a I + bx sx + by sy + bz sz."""
-    return (
-        (m[0, 0] + m[1, 1]) / 2.0,
-        (m[0, 1] + m[1, 0]) / 2.0,
-        (m[1, 0] - m[0, 1]) / 2.0 * 1j,
-        (m[0, 0] - m[1, 1]) / 2.0,
-    )
-
-
-def _make_objective(target: np.ndarray, phase_sensitive: bool):
-    """Infidelity of the composed sequence against ``target`` as a plain-float
-    function of unconstrained simplex coordinates (folded into [0, pi/2])."""
-    a, bx, by, bz = _pauli_coefficients(np.asarray(target, dtype=complex))
-    half_pi = _HALF_PI
-    pi_ = math.pi
-
-    def objective(x) -> float:
-        q = (1.0, 0.0, 0.0, 0.0)
-        for raw in x:
-            b = raw % pi_
-            if b > half_pi:
-                b = pi_ - b
-            q = _quat_mul(_gate_quat(b), q)
-        # tr(U^dag target) / 2 for U = w I + i v.sigma
-        tr = q[0] * a - 1j * (q[1] * bx + q[2] * by + q[3] * bz)
-        return 1.0 - (tr.real if phase_sensitive else abs(tr))
-
-    return objective
-
-
-def _fold(x: np.ndarray) -> np.ndarray:
+def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect unconstrained coordinates into [0, pi/2]; also d(beta)/dx = +-1."""
     r = np.mod(x, math.pi)
-    return np.where(r > _HALF_PI, math.pi - r, r)
+    flip = r > _HALF_PI
+    return np.where(flip, math.pi - r, r), np.where(flip, -1.0, 1.0)
 
 
-def _simplex_descend(objective, x0: np.ndarray, cfg: OptimizerConfig):
-    """Nelder-Mead run plus fresh-simplex polish rounds at the incumbent."""
-    options = {"maxfev": cfg.max_evaluations, "fatol": cfg.fatol, "xatol": cfg.xatol}
-    res = minimize(objective, x0, method="Nelder-Mead", options=options)
-    evaluations = res.nfev
-    best_fun, best_x = res.fun, res.x
-    for _ in range(cfg.polish_rounds):
-        res = minimize(objective, best_x, method="Nelder-Mead", options=options)
-        evaluations += res.nfev
-        if res.fun >= best_fun:
+def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quaternion of A @ B (A applied after B), broadcast over leading axes."""
+    w, x, y, z = np.moveaxis(a, -1, 0)
+    left = np.stack((w, -x, -y, -z, x, w, z, -y, y, -z, w, x, z, y, -x, w), axis=-1)
+    return np.einsum("...ij,...j->...i", left.reshape(left.shape[:-1] + (4, 4)), b)
+
+
+def _target_quat(m: np.ndarray) -> np.ndarray:
+    """Unit quaternion of m / sqrt(det m); the residual absorbs its sign."""
+    a, b, c, d = (m / np.sqrt(np.linalg.det(m))).ravel()
+    q = np.array([(a + d).real, (b + c).imag, (b - c).real, (a - d).imag])
+    return q / np.linalg.norm(q)
+
+
+def _jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The composed quaternion q for each row of ``x`` (starts, N), and
+    dq/dx_k = (g_{N-1} .. g_{k+1}) dg_k/dx_k (g_{k-1} .. g_0), shape (starts, N, 4)."""
+    beta, dbeta = _fold(x)
+    s, c = np.sin(beta), np.cos(beta)
+    sp, cp = np.sin(math.pi * s), np.cos(math.pi * s)
+    zero = np.zeros_like(beta)
+    g = np.stack((-cp, c * sp, zero, -s * sp), axis=-1)
+    dg = np.stack(
+        (math.pi * c * sp, math.pi * c * c * cp - s * sp, zero, -c * (sp + math.pi * s * cp)),
+        axis=-1,
+    )
+    prefix = np.zeros((len(x), x.shape[1] + 1, 4))
+    suffix = np.zeros_like(g)
+    prefix[:, 0, 0] = suffix[:, -1, 0] = 1.0
+    for k in range(x.shape[1]):
+        prefix[:, k + 1] = _quat_mul(g[:, k], prefix[:, k])
+    for k in range(x.shape[1] - 1, 0, -1):
+        suffix[:, k - 1] = _quat_mul(suffix[:, k], g[:, k])
+    return prefix[:, -1], _quat_mul(suffix, _quat_mul(dg * dbeta[..., None], prefix[:, :-1]))
+
+
+def _residual(x: np.ndarray, target_quat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = q - s q_target with s = sign(q . q_target) per start, so |r|^2 / 2 is
+    the infidelity 1 - |tr(U^dag T)| / 2 exactly; and the Jacobian dr/dx."""
+    q, jac = _jacobian(x)
+    sign = np.where(q @ target_quat >= 0.0, 1.0, -1.0)
+    return q - sign[:, None] * target_quat, jac
+
+
+def _infidelity(x: np.ndarray, target_quat: np.ndarray) -> np.ndarray:
+    r = _residual(x, target_quat)[0]
+    return 0.5 * np.einsum("si,si->s", r, r)
+
+
+def _descend(x: np.ndarray, target_quat: np.ndarray, tolerance: float):
+    """Levenberg-Marquardt on every row of ``x`` (starts, N) in lockstep. Stops
+    once the first start within ``tolerance`` is within tolerance**2 (one or
+    two steps later, by quadratic convergence), or after _MAX_ITERATIONS.
+    Returns the coordinates, each start's infidelity and the iteration count."""
+    infidelity = _infidelity(x, target_quat)
+    damping = np.full(len(x), 1e-2)
+    for iterations in range(_MAX_ITERATIONS + 1):
+        hits = np.flatnonzero(infidelity <= tolerance)
+        if iterations == _MAX_ITERATIONS or (hits.size and infidelity[hits[0]] <= tolerance**2):
             break
-        best_fun, best_x = res.fun, res.x
-    return best_fun, best_x, evaluations
+        r, jac = _residual(x, target_quat)
+        # minimum-norm damped Gauss-Newton step -J^T (J J^T + damping I)^-1 r
+        normal = np.einsum("sni,snj->sij", jac, jac) + damping[:, None, None] * np.eye(4)
+        trial_x = x - np.einsum("sni,si->sn", jac, np.linalg.solve(normal, r[..., None])[..., 0])
+        trial = _infidelity(trial_x, target_quat)
+        better = trial < infidelity
+        x[better], infidelity[better] = trial_x[better], trial[better]
+        # J J^T has rank <= 3 (dq is tangent to the unit sphere at q), so the
+        # floor keeps the 4x4 system invertible
+        damping = np.where(better, np.maximum(damping / 3, 1e-12), damping * 4)
+    return x, infidelity, iterations
 
 
-def _snap_to_bounds(objective, betas: np.ndarray) -> tuple[np.ndarray, int]:
+def _snap_to_bounds(betas: np.ndarray, target_quat: np.ndarray) -> np.ndarray:
     """Snap near-boundary solutions to the exact bound when not worse.
 
     A pulse at exactly pi/2 (identity) then flips to 0 (minus identity) when
     that is not worse either; the two differ only by a global sign of the
-    product, so under the default objective the lower angle is the convention.
+    product, so under the magnitude objective the lower angle is the convention.
     """
-    evaluations = 0
+
+    def objective(b: np.ndarray) -> float:
+        return _infidelity(b[None], target_quat)[0]
+
     snapped = np.where(betas < _BOUND_SNAP, 0.0, betas)
     snapped = np.where(snapped > _HALF_PI - _BOUND_SNAP, _HALF_PI, snapped)
-    if not np.array_equal(snapped, betas):
-        evaluations += 2
-        if objective(snapped) <= objective(betas):
-            betas = snapped
+    if not np.array_equal(snapped, betas) and objective(snapped) <= objective(betas):
+        betas = snapped
     for i in range(betas.size):
         if betas[i] == _HALF_PI:
             flipped = betas.copy()
             flipped[i] = 0.0
-            evaluations += 2
             if objective(flipped) <= objective(betas):
                 betas = flipped
-    return betas, evaluations
+    return betas
 
 
-def _build_result(
-    target: TargetGate,
-    betas: np.ndarray,
-    cfg: OptimizerConfig,
-    evaluations: int,
-    restarts_used: int,
-) -> SynthesisResult:
-    seq = PulseSequence(tuple(float(b) for b in betas))
+def _finish(target, x, target_quat, cfg, evaluations, restarts_used) -> SynthesisResult:
+    """Fold and snap the winning coordinates, then score them on the 2x2 product."""
+    seq = PulseSequence(tuple(_snap_to_bounds(_fold(x)[0], target_quat)))
     report = fidelity(compose(seq), target.matrix)
     # products of exact unitaries can overshoot 1 by rounding; clamp the report
     report = FidelityReport(
@@ -268,14 +280,8 @@ def _build_result(
         phase_sensitive=min(max(report.phase_sensitive, -1.0), 1.0),
         relative_phase=report.relative_phase,
     )
-    achieved = report.phase_sensitive if cfg.phase_sensitive else report.magnitude
-    return SynthesisResult(
-        sequence=seq,
-        fidelity=report,
-        evaluations=evaluations,
-        restarts_used=restarts_used,
-        converged=(1.0 - achieved) <= cfg.tolerance,
-    )
+    converged = (1.0 - report.magnitude) <= cfg.tolerance
+    return SynthesisResult(seq, report, evaluations, restarts_used, converged)
 
 
 def synthesize(
@@ -285,46 +291,38 @@ def synthesize(
     rng_seed: int = 0,
 ) -> SynthesisResult:
     """Search for a pulse sequence of the given length maximizing fidelity to
-    ``target``. Deterministic for a fixed seed and config; restarts stop early
-    once the configured tolerance is reached (unless disabled)."""
+    ``target``. Deterministic for a fixed seed and config; the search stops at
+    the first start (in draw order) that reaches the configured tolerance."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     cfg = config or OptimizerConfig()
-    objective = _make_objective(target.matrix, cfg.phase_sensitive)
+    target_quat = _target_quat(target.matrix)
     rng = np.random.default_rng(rng_seed)
-
-    best_fun = math.inf
-    best_x = None
-    evaluations = 0
-    restarts_used = 0
-    for _ in range(cfg.restarts):
-        restarts_used += 1
-        x0 = rng.uniform(0.0, _HALF_PI, length)
-        fun, x, nfev = _simplex_descend(objective, x0, cfg)
-        evaluations += nfev
-        if fun < best_fun:
-            best_fun, best_x = fun, x
-        if cfg.stop_at_tolerance and best_fun <= cfg.tolerance:
+    best_infidelity, best_x = math.inf, None
+    evaluations, restarts_used = 0, cfg.restarts
+    for first in range(0, cfg.restarts, _CHUNK):
+        starts = rng.uniform(0.0, _HALF_PI, (min(_CHUNK, cfg.restarts - first), length))
+        x, infidelity, iterations = _descend(starts, target_quat, cfg.tolerance)
+        evaluations += iterations * len(x)
+        hits = np.flatnonzero(infidelity <= cfg.tolerance)
+        k = hits[0] if hits.size else int(np.argmin(infidelity))
+        if infidelity[k] < best_infidelity:
+            best_infidelity, best_x = infidelity[k], x[k]
+        if hits.size:
+            restarts_used = first + int(k) + 1
             break
-
-    betas, extra = _snap_to_bounds(objective, _fold(np.asarray(best_x)))
-    return _build_result(target, betas, cfg, evaluations + extra, restarts_used)
+    return _finish(target, best_x, target_quat, cfg, evaluations, restarts_used)
 
 
-def refine(
-    target: TargetGate,
-    betas,
-    config: OptimizerConfig | None = None,
-) -> SynthesisResult:
+def refine(target: TargetGate, betas, config: OptimizerConfig | None = None) -> SynthesisResult:
     """Local search seeded at an existing sequence (no random restarts)."""
     cfg = config or OptimizerConfig()
     x0 = np.asarray([float(b) for b in betas])
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("betas must be a nonempty 1-d sequence")
-    objective = _make_objective(target.matrix, cfg.phase_sensitive)
-    fun, x, nfev = _simplex_descend(objective, x0, cfg)
-    folded, extra = _snap_to_bounds(objective, _fold(np.asarray(x)))
-    return _build_result(target, folded, cfg, nfev + extra, 0)
+    target_quat = _target_quat(target.matrix)
+    x, _, iterations = _descend(x0[None], target_quat, cfg.tolerance)
+    return _finish(target, x[0], target_quat, cfg, iterations, 0)
 
 
 def synthesize_shortest(

@@ -115,6 +115,21 @@ def test_verify_requires_exactly_one_parameterization(capsys):
     assert run_cli(capsys, "verify", "--drive", "1,1,1,1")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "drive, field",
+    [
+        ("nan,1", "omega_rabi"),
+        ("inf,1", "omega_rabi"),
+        ("1,nan", "detuning"),
+        ("1,-inf", "detuning"),
+    ],
+)
+def test_verify_rejects_non_finite_drive(capsys, drive, field):
+    code, _, err = run_cli(capsys, "verify", "--drive", drive)
+    assert code == 2
+    assert f"{field} must be finite" in err
+
+
 # --- synth ------------------------------------------------------------------
 
 
@@ -184,6 +199,15 @@ def test_synth_rejects_unknown_target_name(capsys):
     code, _, err = run_cli(capsys, "synth", "--target", "CNOT", "--length", "2")
     assert code == 2
     assert "CNOT" in err
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_synth_rejects_non_positive_restarts(capsys, restarts):
+    code, _, err = run_cli(
+        capsys, "synth", "--target", "NOT", "--length", "2", "--restarts", restarts
+    )
+    assert code == 2
+    assert "restarts must be >= 1" in err
 
 
 def test_synth_single_pulse_not_does_not_converge(capsys):
@@ -277,3 +301,10 @@ def test_console_entry_point_smoke():
     )
     assert result.returncode == 0
     assert "alpha_plus" in result.stdout
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    probe = "import sys, hologate.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -35,6 +35,15 @@ def test_drive_params_validation():
     assert DriveParams(1.0, 0.5, 2.0).period == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("field", ["omega_rabi", "detuning", "omega_drive"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_drive_params_rejects_non_finite_fields(field, value):
+    kwargs = {"omega_rabi": 1.0, "detuning": 0.5, "omega_drive": 1.0}
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DriveParams(**kwargs)
+
+
 @pytest.mark.parametrize("beta", [-0.1, 2.0, math.pi])
 def test_holonomic_gate_rejects_out_of_range_beta(beta):
     with pytest.raises(ValueError):

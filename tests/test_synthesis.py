@@ -21,10 +21,24 @@ from hologate import (
     synthesize,
     synthesize_shortest,
 )
+from hologate.synthesis import _fold, _infidelity, _jacobian, _target_quat
+
+from conftest import random_unitary
 
 I2 = np.eye(2, dtype=complex)
 
 beta_lists = st.lists(st.floats(0.0, math.pi / 2), min_size=0, max_size=10)
+# search coordinates inside [0, pi/2] and just outside it (folded back by
+# reflection), kept 1e-3 from the fold points where d(beta)/dx changes sign
+search_coords = st.lists(
+    st.one_of(
+        st.floats(1e-3, math.pi / 2 - 1e-3),
+        st.floats(-0.1, -1e-3),
+        st.floats(math.pi / 2 + 1e-3, math.pi / 2 + 0.1),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
 # --- types ---------------------------------------------------------------------
@@ -184,6 +198,49 @@ def test_synthesize_shortest_finds_three_pulse_t_gate():
     result = synthesize_shortest(standard_target("T"), 3, cfg, rng_seed=3)
     assert result.converged
     assert len(result.sequence) == 3
+
+
+def test_optimizer_config_validation():
+    for bad in ({"restarts": 0}, {"restarts": -3}):
+        with pytest.raises(ValueError, match="restarts"):
+            OptimizerConfig(**bad)
+    for tolerance in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            OptimizerConfig(tolerance=tolerance)
+
+
+# --- search internals ----------------------------------------------------------------
+
+
+@given(coords=search_coords)
+@settings(max_examples=50)
+def test_jacobian_matches_central_differences(coords):
+    x = np.array([coords])
+    _, jac = _jacobian(x)
+    h = 1e-6
+    for k in range(x.shape[1]):
+        step = np.zeros_like(x)
+        step[0, k] = h
+        numeric = (_jacobian(x + step)[0] - _jacobian(x - step)[0]) / (2 * h)
+        assert max_abs(jac[0, k] - numeric[0]) <= 1e-7
+
+
+@given(coords=search_coords, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50)
+def test_residual_infidelity_matches_trace_fidelity_and_is_never_negative(coords, seed):
+    # a U(2) target with det != 1 exercises the sqrt(det) normalization
+    target = TargetGate(random_unitary(np.random.default_rng(seed)))
+    x = np.array([coords])
+    seq = PulseSequence(tuple(_fold(x)[0][0]))
+    infidelity = _infidelity(x, _target_quat(target.matrix))[0]
+    assert infidelity >= 0.0
+    expected = 1.0 - fidelity(compose(seq), target.matrix).magnitude
+    assert infidelity == pytest.approx(expected, abs=1e-12)
+    # refining onto an exactly reachable target: rounding may push the
+    # fidelity past 1, yet the returned infidelity never drops below 0
+    result = refine(TargetGate(compose(seq)), coords)
+    assert result.converged
+    assert 1.0 - result.fidelity.magnitude >= 0.0
 
 
 # --- noncommutativity ---------------------------------------------------------------
