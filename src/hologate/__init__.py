@@ -25,6 +25,7 @@ from .evolution import (
     ConsistencyError,
     EvolutionReport,
     aa_eigenphases,
+    exact_propagator,
     full_report,
     invariant_residual,
     propagate,
@@ -35,6 +36,7 @@ from .su2 import (
     BlochPoint,
     FidelityReport,
     bloch_of,
+    bloch_vectors,
     fidelity,
     is_unitary,
     max_abs,
@@ -75,10 +77,12 @@ __all__ = [
     "aa_eigenphases",
     "analytic_gate",
     "bloch_of",
+    "bloch_vectors",
     "catalog",
     "compose",
     "dynamical_integrand",
     "eigensystem",
+    "exact_propagator",
     "fidelity",
     "full_report",
     "hamiltonian",

@@ -14,7 +14,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +29,12 @@ from .evolution import (
     DEFAULT_STEPS,
     ConsistencyError,
     aa_eigenphases,
+    exact_propagator,
     full_report,
     invariant_residual,
-    propagate_samples,
     spectral_propagator,
 )
-from .su2 import BlochPoint, bloch_of, fidelity, max_abs
+from .su2 import bloch_vectors, fidelity, max_abs
 from .synthesis import (
     OptimizerConfig,
     TargetGate,
@@ -50,22 +49,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-#: Internal integration steps aimed at when sampling a trajectory.
-_TRAJECTORY_STEP_BUDGET = 10_000
-
-
-class TrajectoryRecord(NamedTuple):
-    """One exported Bloch point: which pulse, when, and which initial state.
-
-    ``branch`` is "0" or "1" for time-resolved rows and "0_final"/"1_final"
-    for the one-period endpoint map across a beta sweep.
-    """
-
-    beta: float
-    t: float
-    branch: str
-    point: BlochPoint
 
 
 @dataclass
@@ -220,6 +203,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
     spectral_err = max_abs(u_spec - rep.propagator)
     report.values["spectral_error"] = spectral_err
     report.check("spectral_agreement", spectral_err <= 1e-6, f"{spectral_err:.3e} <= 1e-6")
+    report.values["exact_error"] = max_abs(rep.propagator - exact_propagator(p, p.period))
 
     report.check(
         "transitionless",
@@ -361,45 +345,49 @@ def _parse_beta_spec(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _trajectory_rows(beta: float, times: np.ndarray, points: np.ndarray) -> str:
+    """CSV rows of one beta: branches "0" and "1" at every time, then the
+    one-period endpoint map as "0_final" and "1_final" at the last time.
+
+    ``points`` has shape (samples, 2, 3): the Bloch vectors of U(t)|0> and
+    U(t)|1> at each time.
+    """
+    t = np.broadcast_to(times[:, None, None], points.shape[:2] + (1,))
+    rows = np.concatenate([t, points], axis=2)  # (samples, 2, 4): t, x, y, z
+    row = f"{beta:.17g},%.17g,{{}},%.17g,%.17g,%.17g\n"
+    resolved = (row.format("0") + row.format("1")) * len(times)
+    final = row.format("0_final") + row.format("1_final")
+    return resolved % tuple(rows.ravel().tolist()) + final % tuple(rows[-1].ravel().tolist())
+
+
 def _cmd_trajectory(args) -> tuple[RunReport, int]:
     betas = _parse_beta_spec(args.beta)
     if not betas:
         raise ValueError("no beta values given")
     if args.samples < 2:
         raise ValueError(f"samples must be >= 2, got {args.samples}")
-    substeps = max(1, round(_TRAJECTORY_STEP_BUDGET / (args.samples - 1)))
 
-    records: list[TrajectoryRecord] = []
+    chunks = []
     worst_sphere = 0.0
     for beta in betas:
-        gate = HolonomicGate(beta)  # validates the range
-        p = params_from_beta(gate)
-        times, us = propagate_samples(p, p.period, args.samples, substeps)
-        for t, u in zip(times, us):
-            for branch, column in (("0", u[:, 0]), ("1", u[:, 1])):
-                point = bloch_of(column)
-                worst_sphere = max(
-                    worst_sphere, abs(point.x**2 + point.y**2 + point.z**2 - 1.0)
-                )
-                records.append(TrajectoryRecord(beta, float(t), branch, point))
-        # endpoint map across the sweep: the one-period gate acting on |0>, |1>
-        for branch, column in (("0_final", us[-1][:, 0]), ("1_final", us[-1][:, 1])):
-            records.append(TrajectoryRecord(beta, float(times[-1]), branch, bloch_of(column)))
+        p = params_from_beta(HolonomicGate(beta))  # validates the range
+        times = np.linspace(0.0, p.period, args.samples)
+        # swap the matrix axes so the last axis runs over a column's entries
+        points = bloch_vectors(np.swapaxes(exact_propagator(p, times), -1, -2))
+        sphere = np.abs(np.sum(points**2, axis=-1) - 1.0)
+        worst_sphere = max(worst_sphere, float(np.max(sphere)))
+        chunks.append(_trajectory_rows(beta, times, points))
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("beta,t,branch,x,y,z\n")
-        for rec in records:
-            fh.write(
-                f"{rec.beta:.17g},{rec.t:.17g},{rec.branch},"
-                f"{rec.point.x:.17g},{rec.point.y:.17g},{rec.point.z:.17g}\n"
-            )
+        fh.write("".join(chunks))
 
     report = RunReport(
         "trajectory",
         params={"beta": args.beta, "samples": args.samples, "out": args.out},
     )
     report.values["n_betas"] = len(betas)
-    report.values["n_rows"] = len(records)
+    report.values["n_rows"] = len(betas) * (2 * args.samples + 2)
     report.values["max_sphere_deviation"] = worst_sphere
     report.check("on_sphere", worst_sphere <= 1e-10, f"{worst_sphere:.3e} <= 1e-10")
     return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED

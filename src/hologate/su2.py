@@ -83,20 +83,28 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> FidelityReport:
     )
 
 
+def bloch_vectors(states) -> np.ndarray:
+    """Bloch vectors (<sx>, <sy>, <sz>) of a stack of normalized pure states:
+    shape (..., 2) in, (..., 3) out."""
+    s = np.asarray(states, dtype=complex)
+    if s.ndim < 1 or s.shape[-1] != 2:
+        raise ValueError("states must be complex 2-vectors along the last axis")
+    up, down = s[..., 0], s[..., 1]
+    norm_error = np.abs(np.linalg.norm(s, axis=-1) - 1.0)
+    if not np.all(norm_error <= 1e-10):
+        raise ValueError(f"state must be normalized, |norm - 1| = {np.max(norm_error):.3e}")
+    cross = up.conj() * down
+    return np.stack(
+        [2.0 * cross.real, 2.0 * cross.imag, np.abs(up) ** 2 - np.abs(down) ** 2], axis=-1
+    )
+
+
 def bloch_of(state) -> BlochPoint:
-    """Bloch vector (<sx>, <sy>, <sz>) of a normalized pure state."""
+    """Bloch vector (<sx>, <sy>, <sz>) of one normalized pure state."""
     s = np.asarray(state, dtype=complex).reshape(-1)
     if s.shape != (2,):
         raise ValueError("state must be a complex 2-vector")
-    norm = float(np.linalg.norm(s))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
-    cross = s[0].conjugate() * s[1]
-    return BlochPoint(
-        x=2.0 * cross.real,
-        y=2.0 * cross.imag,
-        z=float(abs(s[0]) ** 2 - abs(s[1]) ** 2),
-    )
+    return BlochPoint(*bloch_vectors(s).tolist())
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:

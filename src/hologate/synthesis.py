@@ -60,6 +60,8 @@ class TargetGate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("target matrix must be 2x2")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("target matrix entries must be finite")
         if max_abs(m.conj().T @ m - _I2) > 1e-12:
             raise ValueError("target matrix must be unitary within 1e-12")
         object.__setattr__(self, "matrix", m)

@@ -1,8 +1,28 @@
+import os
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import settings
+
+import hologate
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def subprocesses_import_this_hologate():
+    """Fresh interpreters started by tests import the hologate under test.
+
+    pyproject's pytest ``pythonpath`` reaches only this process, so a plain
+    ``pytest`` from a checkout without an install would leave them without it.
+    """
+    src = str(Path(hologate.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", path)
+        yield
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:

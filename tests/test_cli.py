@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hologate import HolonomicGate, analytic_gate, max_abs
+from hologate import HolonomicGate, analytic_gate, bloch_of, max_abs
 from hologate.cli import main
 
 
@@ -109,6 +109,15 @@ def test_verify_non_holonomic_drive_fails_by_design(capsys):
     assert values["check_spectral_agreement"] == "pass"
 
 
+@pytest.mark.parametrize("steps,expected", [(1_000, 1.85e-6), (10_000, 1.85e-8)])
+def test_verify_reports_integrator_error_against_exact_propagator(capsys, steps, expected):
+    _, out, _ = run_cli(capsys, "verify", "--beta", "0.423", "--steps", str(steps), "--machine")
+    values = parse_machine(out)
+    # exact_propagator and analytic_gate agree to rounding on the holonomic family
+    assert abs(float(values["exact_error"]) - float(values["analytic_gate_error"])) <= 1e-15
+    assert float(values["exact_error"]) == pytest.approx(expected, rel=0.01)
+
+
 def test_verify_requires_exactly_one_parameterization(capsys):
     assert run_cli(capsys, "verify")[0] == 2
     assert run_cli(capsys, "verify", "--beta", "0.3", "--drive", "1,1")[0] == 2
@@ -195,6 +204,20 @@ def test_synth_rejects_non_unitary_matrix_file(tmp_path, capsys):
     assert "unitary" in err
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_synth_rejects_non_finite_matrix_file(tmp_path, entry):
+    matrix_file = tmp_path / "bad.mat"
+    matrix_file.write_text(f"{entry} 0\n0 1\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "hologate.cli", "synth", "--target", str(matrix_file), "--length", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "finite" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_synth_rejects_unknown_target_name(capsys):
     code, _, err = run_cli(capsys, "synth", "--target", "CNOT", "--length", "2")
     assert code == 2
@@ -251,6 +274,20 @@ def test_trajectory_sweep_endpoints_fix_poles(tmp_path, capsys):
             assert abs(x) <= 1e-10 and abs(y) <= 1e-10 and abs(z - 1.0) <= 1e-10
         if branch == "1_final" and beta in (0.0, math.pi / 2):
             assert abs(z + 1.0) <= 1e-10
+
+
+def test_trajectory_final_rows_are_the_analytic_gate_columns(tmp_path, capsys):
+    out_file = tmp_path / "final.csv"
+    code, _, _ = run_cli(
+        capsys, "trajectory", "--beta", "0.3,0.9,1.4", "--samples", "20", "--out", str(out_file)
+    )
+    assert code == 0
+    finals = [row for row in read_rows(out_file) if row[2].endswith("_final")]
+    assert len(finals) == 6
+    for beta, t, branch, *point in finals:
+        assert t == 2 * math.pi
+        column = analytic_gate(HolonomicGate(beta))[:, int(branch[0])]
+        assert max_abs(np.array(point) - bloch_of(column)) <= 1e-14
 
 
 def test_trajectory_time_resolved_row_counts(tmp_path, capsys):

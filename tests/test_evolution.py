@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hologate.evolution as evolution
 from hologate import (
@@ -9,6 +11,8 @@ from hologate import (
     DriveParams,
     HolonomicGate,
     analytic_gate,
+    eigensystem,
+    exact_propagator,
     full_report,
     invariant_residual,
     lr_phase,
@@ -84,6 +88,109 @@ def test_propagate_samples_endpoint_and_grid():
     assert max_abs(us[-1] - propagate(p, p.period, 1000)) < 1e-10
     with pytest.raises(ValueError):
         propagate_samples(p, p.period, 1, 100)
+
+
+# --- exact propagator ----------------------------------------------------------------
+# Bounds are set from measured maxima with a stated margin; eps = 2.2e-16.
+
+
+def lr_spectral_form(p, t):
+    """sum_pm exp(i alpha_pm(t)) |phi_pm(t)><phi_pm(0)| from the closed-form
+    Lewis-Riesenfeld phases and invariant eigenvectors."""
+    alpha = lr_phase(p, t)
+    es0, es_t = eigensystem(p, 0.0), eigensystem(p, t)
+    return np.exp(1j * alpha[0]) * np.outer(
+        es_t.eigvec_plus, es0.eigvec_plus.conj()
+    ) + np.exp(1j * alpha[1]) * np.outer(es_t.eigvec_minus, es0.eigvec_minus.conj())
+
+
+def test_exact_propagator_matches_analytic_gate():
+    # measured max 6.0e-16 over the 201 betas; bound ~3x that
+    worst = max(
+        max_abs(exact_propagator(params_from_beta(HolonomicGate(b)), 2 * math.pi)
+                - analytic_gate(HolonomicGate(b)))
+        for b in np.linspace(0.0, math.pi / 2, 201)
+    )
+    assert worst <= 2e-15
+
+
+def test_exact_propagator_matches_lewis_riesenfeld_form_generic():
+    # measured max 1.6e-15 at T and 1.4e-15 at random t on these 30 drives;
+    # bound ~3x that
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        p = random_drive(rng)
+        t = float(rng.uniform(0.0, 3.0 * p.period))
+        for time in (p.period, t):
+            assert max_abs(exact_propagator(p, time) - lr_spectral_form(p, time)) <= 5e-15
+
+
+def test_exact_propagator_matches_lewis_riesenfeld_form_non_holonomic():
+    # Omega = Delta = w carries a dynamical phase of -pi on the plus branch;
+    # measured max 3.4e-16 over the grid (2.2e-16 at T)
+    p = DriveParams(1.0, 1.0, 1.0)
+    for t in np.linspace(0.0, 10.0, 41):
+        assert max_abs(exact_propagator(p, t) - lr_spectral_form(p, t)) <= 1e-15
+
+
+def test_exact_propagator_without_rabi_drive_is_free_precession():
+    # Omega = 0 leaves H = Delta sz / 2; Delta = w is the lam = 0 case
+    for detuning in (-0.7, 0.0, 1.0, 2.5):
+        p = DriveParams(0.0, detuning, 1.0)
+        for t in (0.3, 2 * math.pi, 17.0):
+            expected = np.diag([np.exp(-0.5j * detuning * t), np.exp(0.5j * detuning * t)])
+            assert max_abs(exact_propagator(p, t) - expected) <= 1e-15
+
+
+def test_exact_propagator_shapes():
+    p = DriveParams(1.0, 0.3, 1.0)
+    assert exact_propagator(p, 0.5).shape == (2, 2)
+    assert exact_propagator(p, np.linspace(0.0, 1.0, 7)).shape == (7, 2, 2)
+    times = np.arange(6.0).reshape(2, 3)
+    us = exact_propagator(p, times)
+    assert us.shape == (2, 3, 2, 2)
+    assert max_abs(us[1, 2] - exact_propagator(p, 5.0)) <= 1e-15
+
+
+def test_midpoint_propagation_converges_to_exact_at_second_order():
+    # measured 1.85e-6, 1.85e-8, 1.86e-10 at 1k, 10k, 100k steps
+    p = params_from_beta(HolonomicGate(0.423))
+    exact = exact_propagator(p, p.period)
+    errors = [max_abs(propagate(p, p.period, n) - exact) for n in (1_000, 10_000, 100_000)]
+    assert errors[0] / errors[1] == pytest.approx(100.0, rel=0.02)
+    assert errors[1] / errors[2] == pytest.approx(100.0, rel=0.02)
+    assert errors[2] <= 2e-10
+
+
+@pytest.mark.parametrize(
+    "p", [params_from_beta(HolonomicGate(0.6)), DriveParams(1.0, 1.0, 1.0)], ids=["beta0.6", "1,1,1"]
+)
+def test_propagate_samples_agrees_with_exact_on_its_grid(p):
+    # measured 2.0e-8 (beta 0.6) and 5.2e-8 (1,1,1) at 1000 steps per segment,
+    # 4x that at 500: second order on every grid point
+    errors = []
+    for steps in (500, 1000):
+        times, us = propagate_samples(p, p.period, 11, steps)
+        errors.append(max_abs(us - exact_propagator(p, times)))
+    assert errors[1] <= 1e-7
+    assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
+
+
+@given(
+    omega_rabi=st.floats(0.0, 10.0),
+    detuning=st.floats(-10.0, 10.0),
+    omega_drive=st.floats(0.01, 10.0),
+    t=st.floats(-100.0, 100.0),
+)
+@example(omega_rabi=0.0, detuning=1.0, omega_drive=1.0, t=2 * math.pi)  # lam = 0
+def test_exact_propagator_is_su2_and_starts_at_identity(omega_rabi, detuning, omega_drive, t):
+    # measured over 20,000 random draws: unitarity defect <= 6.7e-16 and
+    # |det - 1| <= 7.8e-16; bound ~3x that
+    p = DriveParams(omega_rabi, detuning, omega_drive)
+    assert np.array_equal(exact_propagator(p, 0.0), I2)
+    u = exact_propagator(p, t)
+    assert max_abs(u.conj().T @ u - I2) <= 2e-15
+    assert abs(np.linalg.det(u) - 1.0) <= 2e-15
 
 
 # --- full_report -----------------------------------------------------------------

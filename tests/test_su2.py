@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import bloch_of, fidelity, is_unitary, max_abs, pauli, su2_exp
+from hologate import bloch_of, bloch_vectors, fidelity, is_unitary, max_abs, pauli, su2_exp
 
 from conftest import random_unitary
 
@@ -119,6 +119,28 @@ def test_bloch_of_named_states(state, expected):
 def test_bloch_of_rejects_unnormalized():
     with pytest.raises(ValueError):
         bloch_of(np.array([1.0, 1.0]))
+
+
+def test_bloch_vectors_agrees_with_bloch_of_and_pauli_expectations():
+    rng = np.random.default_rng(2)
+    states = rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2))
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    points = bloch_vectors(states)
+    assert points.shape == (4, 3, 3)
+    assert np.array_equal(points, [[bloch_of(s) for s in row] for row in states])
+    expectations = [
+        np.einsum("...i,ij,...j->...", states.conj(), pauli(axis), states).real
+        for axis in "xyz"
+    ]
+    assert max_abs(points - np.stack(expectations, axis=-1)) < 1e-15
+
+
+def test_bloch_vectors_rejects_unnormalized_batch():
+    states = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-4]], dtype=complex)
+    with pytest.raises(ValueError, match="normalized"):
+        bloch_vectors(states)
+    with pytest.raises(ValueError):
+        bloch_vectors(np.array([1.0, 0.0, 0.0]))
 
 
 @given(seed=st.integers(0, 2**31))

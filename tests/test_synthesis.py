@@ -59,6 +59,13 @@ def test_target_gate_validation():
         TargetGate(np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_target_gate_rejects_non_finite_entries(bad):
+    # NaN slips past a "defect > 1e-12" unitarity test, since NaN > x is False
+    with pytest.raises(ValueError, match="finite"):
+        TargetGate(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_standard_targets():
     assert max_abs(standard_target("NOT").matrix - np.array([[0, 1j], [1j, 0]])) == 0.0
     had = standard_target("Hadamard").matrix
