@@ -4,7 +4,8 @@ catalog, and export Bloch-sphere trajectory data.
 
 All inputs are dimensionless multiples of the drive frequency (w = 1, so the
 period is 2 pi). Exit codes: 0 success, 1 check failure, 2 usage/validation
-error, 3 I/O error.
+error, 3 I/O error, 4 internal error (an unexpected exception such as
+``ConsistencyError``: the run reached no verdict, so it is not a failed check).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .drive import (
 )
 from .evolution import (
     DEFAULT_STEPS,
-    ConsistencyError,
     aa_eigenphases,
     exact_propagator,
     full_report,
@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -452,12 +453,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConsistencyError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # the boundary: any other failure is a bug, not a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     report.wall_time_s = time.perf_counter() - start
     print(_render(report, machine=args.machine))
     return code

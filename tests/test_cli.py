@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hologate.evolution as evolution
 from hologate import DriveParams, HolonomicGate, analytic_gate, bloch_of, max_abs
 from hologate.cli import main
 
@@ -110,6 +111,24 @@ def test_verify_non_holonomic_drive_fails_by_design(capsys):
     assert values["check_total_phase"] == "pass"
     assert values["check_aa_correspondence"] == "pass"
     assert values["check_spectral_agreement"] == "pass"
+
+
+def test_verify_a_million_steps_passes_unitarity(capsys):
+    # beta 0.74 read a 1.46e-10 defect and exit 1 with the unrenormalized product
+    code, out, _ = run_cli(capsys, "verify", "--beta", "0.74", "--steps", "1000000", "--machine")
+    assert code == 0
+    values = parse_machine(out)
+    assert values["check_unitarity"] == "pass"
+    assert float(values["unitarity_defect"]) <= 1e-15
+
+
+def test_internal_error_exits_4_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(evolution, "propagate", lambda p, d, n: 1.5 * np.eye(2, dtype=complex))
+    code, out, err = run_cli(capsys, "verify", "--beta", "0.3", "--steps", "64", "--machine")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ConsistencyError: propagator unitarity defect")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("steps,expected", [(1_000, 1.85e-6), (10_000, 1.85e-8)])
