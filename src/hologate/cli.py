@@ -50,6 +50,18 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
+#: Largest ``verify --steps``. A verify run peaks at ~76 B per step (tracemalloc,
+#: 10^6 steps), so the cap bounds its working memory at ~0.8 GB.
+MAX_VERIFY_STEPS = 10_000_000
+#: Largest ``trajectory --samples``. One beta peaks at ~710 B per sample
+#: (tracemalloc, 10^5 samples), so the cap bounds it at ~0.7 GB; every further
+#: beta keeps ~205 B per sample of CSV text until the file is written.
+MAX_TRAJECTORY_SAMPLES = 1_000_000
+#: C in the trajectory_dynamical_phase bound C (T / steps)^2. Over 52 beta in
+#: [0.02, 1.55], max |gamma_traj| (steps / T)^2 measured 0.0589 at 16, 10^3,
+#: 10^4, 10^5 and 10^6 steps (0.0589 also on 1001 beta over [0, pi/2]).
+TRAJECTORY_PHASE_COEFF = 0.07
+
 
 @dataclass
 class RunReport:
@@ -148,6 +160,8 @@ def _parse_drive(text: str) -> DriveParams:
 def _cmd_verify(args) -> tuple[RunReport, int]:
     if (args.beta is None) == (args.drive is None):
         raise ValueError("give exactly one of --beta or --drive")
+    if args.steps > MAX_VERIFY_STEPS:
+        raise ValueError(f"steps must be <= {MAX_VERIFY_STEPS}, got {args.steps}")
     if args.beta is not None:
         p = params_from_beta(HolonomicGate(args.beta))
         analytic = analytic_gate(HolonomicGate(args.beta))
@@ -172,6 +186,9 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
         report.values[f"{label}_plus"] = pair[0]
         report.values[f"{label}_minus"] = pair[1]
     report.values["max_integrand"] = rep.max_integrand
+    report.values["gamma_dynamical_trajectory_plus"] = rep.gamma_dynamical_trajectory[0]
+    report.values["gamma_dynamical_trajectory_minus"] = rep.gamma_dynamical_trajectory[1]
+    report.values["max_integrand_trajectory"] = rep.max_integrand_trajectory
     report.values["transitionless_defect"] = rep.transitionless_defect
 
     unitarity = max_abs(rep.propagator.conj().T @ rep.propagator - np.eye(2))
@@ -185,6 +202,13 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
     )
     gd = max(abs(rep.gamma_dynamical[0]), abs(rep.gamma_dynamical[1]))
     report.check("dynamical_phase", gd <= 1e-8, f"max |gamma_d| = {gd:.3e} <= 1e-8")
+    gd_traj = max(abs(g) for g in rep.gamma_dynamical_trajectory)
+    bound = TRAJECTORY_PHASE_COEFF * (p.period / args.steps) ** 2
+    report.check(
+        "trajectory_dynamical_phase",
+        gd_traj <= bound,
+        f"max |gamma_d along U_num(t) phi(0)| = {gd_traj:.3e} <= {bound:.3e}",
+    )
 
     alpha_err = max(
         abs(rep.alpha_numeric[0] - alpha_cf[0]), abs(rep.alpha_numeric[1] - alpha_cf[1])
@@ -365,6 +389,8 @@ def _cmd_trajectory(args) -> tuple[RunReport, int]:
         raise ValueError("no beta values given")
     if args.samples < 2:
         raise ValueError(f"samples must be >= 2, got {args.samples}")
+    if args.samples > MAX_TRAJECTORY_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_TRAJECTORY_SAMPLES}, got {args.samples}")
 
     chunks = []
     worst_sphere = 0.0
@@ -411,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--drive", help="raw drive 'OMEGA_RABI,DETUNING' (frequency 1); may be non-holonomic"
     )
-    p_verify.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    p_verify.add_argument(
+        "--steps", type=int, default=DEFAULT_STEPS, help=f"midpoint steps, 16 to {MAX_VERIFY_STEPS}"
+    )
     p_verify.add_argument("--machine", action="store_true")
 
     p_synth = sub.add_parser("synth", help="search for a pulse sequence hitting a target")
@@ -429,7 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.add_argument(
         "--beta", required=True, help="comma list '0.1,0.5' or sweep 'start:stop:count'"
     )
-    p_traj.add_argument("--samples", type=int, default=100, help="time samples per period")
+    p_traj.add_argument(
+        "--samples",
+        type=int,
+        default=100,
+        help=f"time samples per period, 2 to {MAX_TRAJECTORY_SAMPLES}",
+    )
     p_traj.add_argument("--out", required=True, help="output CSV path")
     p_traj.add_argument("--machine", action="store_true")
 

@@ -11,6 +11,17 @@ to |a|^2 + |b|^2 = 1. The rounding of 10^6 nearly equal factors adds up
 coherently, so without the renormalization the norm would drift by ~1e-10;
 with it the product stays unitary to rounding no matter how many steps are
 taken. Only the final pair becomes a 2x2 matrix.
+
+The tree also yields the propagated states along the way. Its first level
+with at most ``_SCAN_BLOCKS`` pairs holds the products over consecutive
+blocks of 2^k steps; a prefix scan over those blocks gives the numerical
+propagator at every block boundary. ``full_report`` takes the
+Aharonov-Anandan dynamical phase -int <psi|H|psi> dt along those states,
+which checks the holonomy claim on the brute-force evolution itself. The
+closed-form phase integrands are constant in t in the gauge of
+``eigensystem``, so the phase quadrature evaluates them at a few fixed nodes
+rather than on the propagation grid.
+
 ``exact_propagator`` gives the same evolution in closed form through the
 frame co-rotating with the drive; the integrator stays as the independent
 brute-force check of it.
@@ -19,6 +30,7 @@ brute-force check of it.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +44,21 @@ DEFAULT_STEPS = 10_000
 #: Unitarity defect beyond which a report aborts instead of returning.
 UNITARITY_ABORT = 1e-8
 
+#: Largest number of blocks in the tree level that the prefix scan walks:
+#: the states come out on a grid of at most this many intervals (977 blocks
+#: of 1024 steps at 10^6 steps), at a cost independent of the step count.
+_SCAN_BLOCKS = 1024
+
+#: Nodes at which ``_phase_quadrature`` evaluates the phase integrands.
+_QUADRATURE_NODES = 17
+
 _I2 = np.eye(2, dtype=complex)
+
+#: While ``full_report`` runs ``propagate``, a list that receives the tree
+#: level for the prefix scan. ``propagate`` stays the one entry point of the
+#: product, so that a substituted or wrapped ``propagate`` is what
+#: ``full_report`` checks.
+_level_sink: ContextVar[list | None] = ContextVar("_level_sink", default=None)
 
 
 class ConsistencyError(RuntimeError):
@@ -43,8 +69,15 @@ class ConsistencyError(RuntimeError):
 class EvolutionReport:
     """One-period propagation with its full phase bookkeeping.
 
-    ``alpha_numeric`` is the quadrature total phase per branch and equals
-    ``gamma_geometric + gamma_dynamical`` exactly (same grid, same rule).
+    ``gamma_geometric`` and ``gamma_dynamical`` come from the closed-form
+    integrands on the invariant eigenvectors, which are constant in t, so they
+    do not depend on ``steps``; ``max_integrand`` is the largest
+    |<phi|H|phi>| at the quadrature nodes. ``alpha_numeric`` is their sum per
+    branch, exactly. ``gamma_dynamical_trajectory`` is -int <psi|H|psi> dt
+    along the propagated states psi(t) = U_num(t) phi(0) of each branch (the
+    Aharonov-Anandan dynamical phase), and ``max_integrand_trajectory`` the
+    largest |<psi|H|psi>| on their time grid; both read the integrator's
+    O(dt^2) error on a holonomic drive.
     ``aa_eigenphases`` are the eigenphases of the numerical propagator in
     [0, 2 pi), branch-matched by eigenvector overlap.
     """
@@ -58,6 +91,8 @@ class EvolutionReport:
     aa_eigenphases: tuple[float, float]
     steps: int
     spectral: np.ndarray
+    gamma_dynamical_trajectory: tuple[float, float]
+    max_integrand_trajectory: float
 
 
 def _step_factors(
@@ -66,6 +101,8 @@ def _step_factors(
     """Exact SU(2) factors exp(-i H(t_mid) dt) for uniform midpoint steps, as
     Cayley-Klein pairs: factor k is [[a[k], b[k]], [-conj(b[k]), conj(a[k])]].
 
+    ``t0`` is a scalar or an array of start times, which adds leading axes:
+    with ``t0`` of shape (S, 1) the pairs have shape (S, steps).
     Returns None when H vanishes identically (zero Rabi and detuning).
     The field magnitude |(Omega cos, Omega sin, Delta)| is time independent,
     so the per-step rotation angle is one scalar and ``a`` is the same for
@@ -79,16 +116,38 @@ def _step_factors(
     ca, sa = math.cos(half), math.sin(half)
     phase = p.omega_drive * (t0 + (np.arange(steps) + 0.5) * dt)
     transverse = sa * p.omega_rabi / field
-    a = np.full(steps, complex(ca, sa * p.detuning / field))
-    b = np.empty(steps, dtype=complex)  # sa (ny + i nx)
+    a = np.full(phase.shape, complex(ca, sa * p.detuning / field))
+    b = np.empty(phase.shape, dtype=complex)  # sa (ny + i nx)
     b.real = transverse * np.sin(phase)
     b.imag = transverse * np.cos(phase)
     return a, b
 
 
-def _ordered_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pair_product(a1, b1, a2, b2):
+    """Cayley-Klein pair of [[a1, b1], ...] @ [[a2, b2], ...], elementwise."""
+    return a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()
+
+
+def _unit(a, b):
+    """The pairs divided by their norm sqrt(|a|^2 + |b|^2)."""
+    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+    return a / norm, b / norm
+
+
+def _pair_matrix(a, b) -> np.ndarray:
+    """The matrices [[a, b], [-conj(b), conj(a)]], shape ``a.shape + (2, 2)``."""
+    u = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    u[..., 0, 0] = a
+    u[..., 0, 1] = b
+    u[..., 1, 0] = -b.conjugate()
+    u[..., 1, 1] = a.conjugate()
+    return u
+
+
+def _ordered_product(a: np.ndarray, b: np.ndarray, max_blocks: int | None = None):
     """Product factors[-1] @ ... @ factors[0] of the Cayley-Klein pairs
-    (a, b) by pairwise tree reduction, returned as a 2x2 matrix.
+    (a, b) along the last axis by pairwise tree reduction, returned as a
+    ``a.shape[:-1] + (2, 2)`` matrix.
 
     A later factor (a1, b1) times an earlier (a2, b2) is the pair
     (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)); an odd element is carried to
@@ -98,20 +157,49 @@ def _ordered_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nearly equal factors is coherent, not a random walk: without this the
     norm drifts by ~1e-10 at 10^6 steps, while the rotation stays within the
     ~2e-12 midpoint error of the exact propagator.
+
+    With ``max_blocks``, returns ``(matrix, (size, a_k, b_k))`` where
+    (a_k, b_k) is the first level with at most ``max_blocks`` pairs. Pairing
+    always starts at index 0, so element j of it is the product over factors
+    [j * size, (j + 1) * size), size = 2^k; only the last block can be shorter.
     """
-    while a.shape[0] > 1:
-        n_pairs = a.shape[0] // 2
-        a1, b1 = a[1 : 2 * n_pairs : 2], b[1 : 2 * n_pairs : 2]
-        a2, b2 = a[0 : 2 * n_pairs : 2], b[0 : 2 * n_pairs : 2]
-        pa = a1 * a2 - b1 * b2.conj()
-        pb = a1 * b2 + b1 * a2.conj()
-        if a.shape[0] % 2:
-            pa = np.concatenate([pa, a[-1:]])
-            pb = np.concatenate([pb, b[-1:]])
-        norm = np.sqrt(pa.real**2 + pa.imag**2 + pb.real**2 + pb.imag**2)
-        a, b = pa / norm, pb / norm
-    a0, b0 = a[0], b[0]
-    return np.array([[a0, b0], [-b0.conjugate(), a0.conjugate()]], dtype=complex)
+    size, level = 1, None
+    while True:
+        if level is None and max_blocks is not None and a.shape[-1] <= max_blocks:
+            level = (size, a, b)
+        if a.shape[-1] == 1:
+            break
+        n_pairs = a.shape[-1] // 2
+        pa, pb = _pair_product(
+            a[..., 1 : 2 * n_pairs : 2],
+            b[..., 1 : 2 * n_pairs : 2],
+            a[..., 0 : 2 * n_pairs : 2],
+            b[..., 0 : 2 * n_pairs : 2],
+        )
+        if a.shape[-1] % 2:
+            pa = np.concatenate([pa, a[..., -1:]], axis=-1)
+            pb = np.concatenate([pb, b[..., -1:]], axis=-1)
+        a, b = _unit(pa, pb)
+        size *= 2
+    u = _pair_matrix(a[..., 0], b[..., 0])
+    return u if max_blocks is None else (u, level)
+
+
+def _prefix_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive prefix products of a 1-D array of pairs: element j of the
+    result is pair j @ ... @ pair 0.
+
+    Hillis-Steele scan: the pass with shift s multiplies every element from
+    index s on by the element s places before it, which then covers 2s pairs,
+    so log2(n) passes cover all. Every pass is renormalized, as the tree is.
+    """
+    shift = 1
+    while shift < a.shape[0]:
+        pa, pb = _unit(*_pair_product(a[shift:], b[shift:], a[:-shift], b[:-shift]))
+        a = np.concatenate([a[:shift], pa])
+        b = np.concatenate([b[:shift], pb])
+        shift *= 2
+    return a, b
 
 
 def propagate(p: DriveParams, duration: float, steps: int) -> np.ndarray:
@@ -126,7 +214,11 @@ def propagate(p: DriveParams, duration: float, steps: int) -> np.ndarray:
     factors = _step_factors(p, 0.0, duration, steps)
     if factors is None:
         return _I2.copy()
-    return _ordered_product(*factors)
+    u, level = _ordered_product(*factors, max_blocks=_SCAN_BLOCKS)
+    sink = _level_sink.get()
+    if sink is not None:
+        sink.append(level)
+    return u
 
 
 def propagate_samples(
@@ -135,7 +227,9 @@ def propagate_samples(
     """Propagator snapshots U(t_i) on t_i = i * duration / (samples - 1).
 
     Returns (times, stack of 2x2 propagators); each segment between snapshots
-    is integrated with ``steps_per_segment`` midpoint steps.
+    is integrated with ``steps_per_segment`` midpoint steps. All segments are
+    reduced by one batched tree product, and the snapshots are the prefix
+    products of the segment propagators.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
@@ -146,13 +240,12 @@ def propagate_samples(
     times = np.linspace(0.0, duration, samples)
     us = np.empty((samples, 2, 2), dtype=complex)
     us[0] = _I2
-    u = _I2
-    seg = duration / (samples - 1)
-    for i in range(samples - 1):
-        factors = _step_factors(p, times[i], seg, steps_per_segment)
-        if factors is not None:
-            u = _ordered_product(*factors) @ u
-        us[i + 1] = u
+    factors = _step_factors(p, times[:-1, None], duration / (samples - 1), steps_per_segment)
+    if factors is None:
+        us[1:] = _I2
+        return times, us
+    segments = _ordered_product(*factors)
+    us[1:] = _pair_matrix(*_prefix_products(segments[:, 0, 0], segments[:, 0, 1]))
     return times, us
 
 
@@ -184,43 +277,72 @@ def exact_propagator(p: DriveParams, t) -> np.ndarray:
     return u
 
 
-def _trapezoid(values: np.ndarray, dt: float) -> float:
-    return float(dt * (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]))
+def _energy(p: DriveParams, ts: np.ndarray, psi0, psi1) -> np.ndarray:
+    """<psi|H(t)|psi> at the times ``ts`` for the states (psi0, psi1):
+    h00 (|psi0|^2 - |psi1|^2) + 2 Re(conj(psi0) h01 psi1), with h00 = Delta/2
+    and h01 = (Omega/2) exp(-i w t) the entries of H(t)."""
+    h01 = 0.5 * p.omega_rabi * np.exp(-1j * p.omega_drive * ts)
+    weights = np.abs(psi0) ** 2 - np.abs(psi1) ** 2
+    return 0.5 * p.detuning * weights + 2.0 * (psi0.conj() * h01 * psi1).real
 
 
 def _node_integrands(p: DriveParams, ts: np.ndarray):
     """Per branch (+ then -), the geometric and dynamical integrands at the
     nodes ``ts``, from the entries of H(t) and of the eigenvector.
 
-    With h00 = Delta/2, h01 = (Omega/2) exp(-i w t) and the eigenvector
-    (v0, s) = (exp(-i w t) cos(theta), sin(theta)), the geometric integrand
-    i<phi|dphi/dt> is w |v0|^2 (only the exp(-i w t) factor moves) and the
-    dynamical one is <phi|H|phi> = h00 (|v0|^2 - s^2) + 2 s Re(conj(v0) h01).
+    With the eigenvector (v0, s) = (exp(-i w t) cos(theta), sin(theta)), the
+    geometric integrand i<phi|dphi/dt> is w |v0|^2 (only the exp(-i w t)
+    factor moves) and the dynamical one is ``_energy`` of (v0, s).
     """
     es = eigensystem(p, 0.0)
     phase = np.exp(-1j * p.omega_drive * ts)
-    h00 = 0.5 * p.detuning
-    h01 = 0.5 * p.omega_rabi * phase
     for c, s in ((es.cos_theta_plus, es.sin_theta_plus), (es.cos_theta_minus, es.sin_theta_minus)):
         v0 = phase * c
-        weight = np.abs(v0) ** 2
-        re_v0_h01 = v0.real * h01.real + v0.imag * h01.imag  # Re(conj(v0) h01)
-        yield p.omega_drive * weight, h00 * (weight - s * s) + 2.0 * s * re_v0_h01
+        yield p.omega_drive * np.abs(v0) ** 2, _energy(p, ts, v0, s)
 
 
-def _phase_quadrature(p: DriveParams, steps: int):
+def _phase_quadrature(p: DriveParams):
     """Per-branch (gamma_geometric, gamma_dynamical, max |integrand|) over one
-    period, by composite trapezoid on the propagation grid."""
+    period.
+
+    In the gauge of ``eigensystem`` both integrands are independent of t
+    (|v0|^2 = cos^2 theta and Re(conj(v0) h01) = cos theta Omega / 2), so each
+    gamma is T times the mean over ``_QUADRATURE_NODES`` nodes spanning
+    [0, T], and the maximum is taken over the same nodes.
+    """
     period = p.period
-    ts = np.linspace(0.0, period, steps + 1)
-    dt = period / steps
+    ts = np.linspace(0.0, period, _QUADRATURE_NODES)
     gammas = []
     max_integrand = 0.0
     for geo, dyn in _node_integrands(p, ts):
-        gammas.append((_trapezoid(geo, dt), -_trapezoid(dyn, dt)))
+        gammas.append((period * float(np.mean(geo)), -period * float(np.mean(dyn))))
         max_integrand = max(max_integrand, float(np.max(np.abs(dyn))))
     (gg_p, gd_p), (gg_m, gd_m) = gammas
     return (gg_p, gg_m), (gd_p, gd_m), max_integrand
+
+
+def _trajectory_phases(
+    p: DriveParams, steps: int, level, phis: tuple[np.ndarray, np.ndarray]
+) -> tuple[tuple[float, float], float]:
+    """Per branch, -int <psi|H|psi> dt along psi(t) = U_num(t) phi(0) for the
+    initial states ``phis`` (+, -), and the largest |<psi|H|psi>| over both.
+
+    ``level`` is the tree level (size, a, b) of ``_ordered_product``; its
+    prefix products are U_num at the block boundaries t_j = min(j size, steps)
+    dt, and the integral is the trapezoid over those times.
+    """
+    size, a, b = level
+    a, b = _prefix_products(a, b)
+    a = np.concatenate([[1.0 + 0.0j], a])
+    b = np.concatenate([[0.0j], b])
+    ts = p.period * np.minimum(np.arange(a.shape[0]) * size, steps) / steps
+    gammas = []
+    max_integrand = 0.0
+    for phi0, phi1 in phis:
+        energy = _energy(p, ts, a * phi0 + b * phi1, a.conj() * phi1 - b.conj() * phi0)
+        gammas.append(-0.5 * float(np.sum(np.diff(ts) * (energy[1:] + energy[:-1]))))
+        max_integrand = max(max_integrand, float(np.max(np.abs(energy))))
+    return (gammas[0], gammas[1]), max_integrand
 
 
 def _spectral_form(p: DriveParams, alpha: tuple[float, float]) -> np.ndarray:
@@ -256,15 +378,25 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
     period = p.period
-    u = propagate(p, period, steps)
+    levels = []
+    token = _level_sink.set(levels)
+    try:
+        u = propagate(p, period, steps)
+    finally:
+        _level_sink.reset(token)
     defect = max_abs(u.conj().T @ u - _I2)
     if defect > UNITARITY_ABORT:
         raise ConsistencyError(f"propagator unitarity defect {defect:.3e} > {UNITARITY_ABORT:.0e}")
+    es0 = eigensystem(p, 0.0)
+    # No level when H vanishes identically: the states then stay put.
+    level = levels[0] if levels else (steps, np.ones(1, dtype=complex), np.zeros(1, dtype=complex))
+    gamma_traj, max_integrand_traj = _trajectory_phases(
+        p, steps, level, (es0.eigvec_plus, es0.eigvec_minus)
+    )
 
-    gamma_g, gamma_d, max_integrand = _phase_quadrature(p, steps)
+    gamma_g, gamma_d, max_integrand = _phase_quadrature(p)
     alpha = (gamma_g[0] + gamma_d[0], gamma_g[1] + gamma_d[1])
 
-    es0 = eigensystem(p, 0.0)
     es_t = eigensystem(p, period)
     survival = min(
         abs(np.vdot(es_t.eigvec_plus, u @ es0.eigvec_plus)),
@@ -280,15 +412,22 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
         aa_eigenphases=aa_eigenphases(u, p),
         steps=steps,
         spectral=_spectral_form(p, alpha),
+        gamma_dynamical_trajectory=gamma_traj,
+        max_integrand_trajectory=max_integrand_traj,
     )
 
 
 def spectral_propagator(p: DriveParams, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """One-period propagator assembled from the invariant eigensystem:
-    sum_k exp(i alpha_k) |phi_k(T)><phi_k(0)| with quadrature alpha_k."""
+    sum_k exp(i alpha_k) |phi_k(T)><phi_k(0)| with quadrature alpha_k.
+
+    ``steps`` is validated (>= 16) as for ``full_report`` but no longer
+    changes the result: the phase integrands are constant in t, and the
+    quadrature evaluates them at fixed nodes.
+    """
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
-    gamma_g, gamma_d, _ = _phase_quadrature(p, steps)
+    gamma_g, gamma_d, _ = _phase_quadrature(p)
     return _spectral_form(p, (gamma_g[0] + gamma_d[0], gamma_g[1] + gamma_d[1]))
 
 

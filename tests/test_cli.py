@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import hologate.evolution as evolution
 from hologate import DriveParams, HolonomicGate, analytic_gate, bloch_of, max_abs
-from hologate.cli import main
+from hologate.cli import MAX_TRAJECTORY_SAMPLES, MAX_VERIFY_STEPS, main
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +138,63 @@ def test_verify_reports_integrator_error_against_exact_propagator(capsys, steps,
     # exact_propagator and analytic_gate agree to rounding on the holonomic family
     assert abs(float(values["exact_error"]) - float(values["analytic_gate_error"])) <= 1e-15
     assert float(values["exact_error"]) == pytest.approx(expected, rel=0.01)
+
+
+def test_verify_reports_the_dynamical_phase_along_the_propagated_states(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--beta", "0.423", "--machine")
+    assert code == 0
+    values = parse_machine(out)
+    assert values["check_trajectory_dynamical_phase"] == "pass"
+    # the integrator's error at the default 10^4 steps: measured 1.40e-8 and 5.2e-9
+    for key in ("gamma_dynamical_trajectory_plus", "gamma_dynamical_trajectory_minus"):
+        assert abs(float(values[key])) <= 2e-8
+    assert 0.0 < float(values["max_integrand_trajectory"]) <= 1e-8
+
+    code, out, _ = run_cli(capsys, "verify", "--drive", "1,1", "--machine")
+    assert code == 1
+    values = parse_machine(out)
+    assert values["check_trajectory_dynamical_phase"] == "fail"
+    assert float(values["gamma_dynamical_trajectory_plus"]) == pytest.approx(-math.pi, abs=1e-6)
+
+
+#: The verify --machine keys before the trajectory phase was added, in order.
+PREVIOUS_VERIFY_KEYS = (
+    "command {param} steps lam gamma_geometric_plus gamma_geometric_minus "
+    "gamma_dynamical_plus gamma_dynamical_minus alpha_numeric_plus alpha_numeric_minus "
+    "alpha_closed_form_plus alpha_closed_form_minus aa_eigenphase_plus aa_eigenphase_minus "
+    "max_integrand transitionless_defect unitarity_defect alpha_error aa_error spectral_error "
+    "exact_error invariant_residual {gate_error}u00 u01 u10 u11 check_unitarity "
+    "check_holonomy_integrand check_dynamical_phase check_total_phase check_aa_correspondence "
+    "check_spectral_agreement check_transitionless check_invariant_equation {gate_check}"
+    "wall_time_s"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, fill",
+    [
+        (["--beta", "0.423"], ("beta", "analytic_gate_error ", "check_analytic_agreement ")),
+        (["--drive", "1,1"], ("drive", "", "")),
+    ],
+    ids=["beta", "drive"],
+)
+def test_verify_machine_keys_change_only_by_addition(capsys, argv, fill):
+    param, gate_error, gate_check = fill
+    previous = PREVIOUS_VERIFY_KEYS.format(
+        param=param, gate_error=gate_error, gate_check=gate_check
+    ).split()
+    _, out, _ = run_cli(capsys, "verify", *argv, "--steps", "64", "--machine")
+    keys = iter(line.partition("=")[0] for line in out.splitlines())
+    assert all(key in keys for key in previous)  # an ordered subsequence
+
+
+def test_verify_rejects_steps_above_the_cap(monkeypatch, capsys):
+    # the cap is checked before anything is allocated; never run a huge count
+    monkeypatch.setattr("hologate.cli.full_report", lambda *a: pytest.fail("propagated"))
+    for steps in (MAX_VERIFY_STEPS + 1, 10_000_000_000):
+        code, out, err = run_cli(capsys, "verify", "--beta", "0.3", "--steps", str(steps))
+        assert code == 2 and out == ""
+        assert err == f"error: steps must be <= {MAX_VERIFY_STEPS}, got {steps}\n"
 
 
 def test_verify_requires_exactly_one_parameterization(capsys):
@@ -358,6 +415,18 @@ def test_trajectory_rejects_single_sample(tmp_path, capsys):
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2
+
+
+def test_trajectory_rejects_samples_above_the_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("hologate.cli.exact_propagator", lambda *a: pytest.fail("sampled"))
+    samples = MAX_TRAJECTORY_SAMPLES + 1
+    code, out, err = run_cli(
+        capsys, "trajectory", "--beta", "0.3", "--samples", str(samples),
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: samples must be <= {MAX_TRAJECTORY_SAMPLES}, got {samples}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_trajectory_unwritable_path_is_io_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import hologate.evolution as evolution
@@ -15,6 +15,7 @@ from hologate import (
     eigensystem,
     exact_propagator,
     full_report,
+    hamiltonian,
     invariant_residual,
     lr_phase,
     max_abs,
@@ -23,11 +24,20 @@ from hologate import (
     propagate_samples,
     spectral_propagator,
 )
-from hologate.cli import main
+from hologate.cli import TRAJECTORY_PHASE_COEFF, main
 
 from conftest import random_drive
+from midpoint_oracle import midpoint_product
 
 I2 = np.eye(2, dtype=complex)
+
+#: Drives over the range the model is exercised in, holonomic or not.
+drives = st.builds(
+    DriveParams,
+    omega_rabi=st.floats(0.0, 2.0),
+    detuning=st.floats(-1.0, 2.0),
+    omega_drive=st.floats(0.5, 2.0),
+)
 
 
 def circular_distance(a, b):
@@ -129,6 +139,73 @@ def test_propagate_samples_endpoint_and_grid():
     assert max_abs(us[-1] - propagate(p, p.period, 1000)) < 1e-10
     with pytest.raises(ValueError):
         propagate_samples(p, p.period, 1, 100)
+
+
+# --- closed-form midpoint product -----------------------------------------------------
+# midpoint_oracle telescopes the ordered product of the step factors, so it
+# checks the tree and the prefix scan to rounding, not the truncation error.
+
+
+@given(p=drives, steps=st.integers(1, 3000), frac=st.floats(0.01, 1.0))
+@example(p=DriveParams(1.0, 1.0, 1.0), steps=1, frac=1.0)  # non-holonomic, one factor
+@example(p=DriveParams(1.0, 1.0, 1.0), steps=999, frac=1.0)  # odd at several levels
+def test_propagate_matches_closed_form_midpoint_product(p, steps, frac):
+    # measured <= 2.1e-15 on 9 drives at 1 to 10^6 steps; bound ~5x that
+    duration = frac * p.period
+    u = propagate(p, duration, steps)
+    assert max_abs(u - midpoint_product(p, steps, duration / steps)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "p", [params_from_beta(HolonomicGate(0.68)), DriveParams(1.0, 1.0, 1.0)], ids=["beta0.68", "1,1,1"]
+)
+def test_propagate_matches_closed_form_at_a_million_steps(p):
+    # measured <= 9e-16; without the per-level renormalization the norm alone
+    # drifts by ~1e-10 at this length
+    steps = 1_000_000
+    u = propagate(p, p.period, steps)
+    assert max_abs(u - midpoint_product(p, steps, p.period / steps)) <= 1e-14
+
+
+@given(p=drives, steps=st.integers(1, 3000), max_blocks=st.integers(1, 64))
+@example(p=DriveParams(1.0, 1.0, 1.0), steps=3001, max_blocks=1024)  # last block 1 step
+def test_prefix_scan_matches_closed_form_at_every_block_boundary(p, steps, max_blocks):
+    # measured <= 2.1e-15 over 6 drives at 5 to 10^6 steps
+    factors = evolution._step_factors(p, 0.0, p.period, steps)
+    assume(factors is not None)
+    _, (size, a, b) = evolution._ordered_product(*factors, max_blocks=max_blocks)
+    # the first level with at most max_blocks pairs, blocks of size steps from 0
+    assert a.shape[0] == -(-steps // size) <= max_blocks
+    assert size == 1 or -(-steps // (size // 2)) > max_blocks
+    ends = np.minimum(size * np.arange(1, a.shape[0] + 1), steps)
+    expected = midpoint_product(p, ends, p.period / steps)
+    u = evolution._pair_matrix(*evolution._prefix_products(a, b))
+    assert max_abs(u - expected) <= 1e-14
+
+
+def test_prefix_scan_of_raw_step_factors_stays_unit_and_exact():
+    # 10^5 unrenormalized factors whose norms are off by the same rounding:
+    # every pass must divide the norm out, as the tree does
+    p = params_from_beta(HolonomicGate(0.423))
+    steps = 100_000
+    a, b = evolution._step_factors(p, 0.0, p.period, steps)
+    pa, pb = evolution._prefix_products(a, b)
+    assert np.max(np.abs(pa.real**2 + pa.imag**2 + pb.real**2 + pb.imag**2 - 1.0)) <= 2e-15
+    expected = midpoint_product(p, np.arange(1, steps + 1), p.period / steps)
+    assert max_abs(evolution._pair_matrix(pa, pb) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "p", [params_from_beta(HolonomicGate(0.6)), DriveParams(1.0, 1.0, 1.0)], ids=["beta0.6", "1,1,1"]
+)
+def test_propagate_samples_matches_closed_form_midpoint_product(p):
+    # snapshot i is the product of the first i segments of 333 steps each;
+    # measured <= 8.5e-16
+    samples, per_segment = 11, 333
+    times, us = propagate_samples(p, p.period, samples, per_segment)
+    dt = p.period / (samples - 1) / per_segment
+    expected = midpoint_product(p, per_segment * np.arange(samples), dt)
+    assert max_abs(us - expected) <= 1e-14
 
 
 # --- exact propagator ----------------------------------------------------------------
@@ -327,6 +404,88 @@ def test_full_report_aborts_on_nonunitary_propagator(monkeypatch):
 def test_full_report_spectral_is_the_spectral_propagator():
     for p in (params_from_beta(HolonomicGate(0.423)), DriveParams(1.0, 1.0, 1.0)):
         assert np.array_equal(full_report(p, 4096).spectral, spectral_propagator(p, 4096))
+
+
+def test_phase_quadrature_does_not_depend_on_steps():
+    rng = np.random.default_rng(9)
+    for p in (params_from_beta(HolonomicGate(0.423)), DriveParams(1.0, 1.0, 1.0), random_drive(rng)):
+        coarse, fine = full_report(p, 16), full_report(p, 4096)
+        assert coarse.gamma_geometric == fine.gamma_geometric
+        assert coarse.gamma_dynamical == fine.gamma_dynamical
+        assert coarse.max_integrand == fine.max_integrand
+
+
+@given(
+    p=st.builds(
+        DriveParams,
+        omega_rabi=st.floats(0.0, 10.0),
+        detuning=st.floats(-10.0, 10.0),
+        omega_drive=st.floats(0.01, 10.0),
+    )
+)
+def test_alpha_numeric_matches_closed_form_to_rounding(p):
+    # measured <= 2.9e-15 (1 + |alpha|) over 20,000 random drives of this range
+    rep = full_report(p, 16)
+    for got, want in zip(rep.alpha_numeric, lr_phase(p, p.period)):
+        assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
+
+
+def test_trajectory_dynamical_phase_is_within_its_bound_across_the_family():
+    # max |gamma_traj| (steps / T)^2 measured 0.0589 (beta 0.68) at every step
+    # count from 16 to 10^6: the integrator's O(dt^2) error
+    for steps in (16, 1_000, 10_000):
+        for beta in np.linspace(0.02, 1.55, 52):
+            p = params_from_beta(HolonomicGate(float(beta)))
+            rep = full_report(p, steps)
+            bound = TRAJECTORY_PHASE_COEFF * (p.period / steps) ** 2
+            assert max(abs(g) for g in rep.gamma_dynamical_trajectory) <= bound
+            assert rep.max_integrand_trajectory <= bound
+
+
+def test_trajectory_dynamical_phase_of_a_non_holonomic_drive():
+    # Omega = Delta = w: the closed-form dynamical phases are -pi and +pi;
+    # measured 1.0e-7 away at 10^4 steps
+    p = DriveParams(1.0, 1.0, 1.0)
+    rep = full_report(p, 10_000)
+    for traj, closed in zip(rep.gamma_dynamical_trajectory, rep.gamma_dynamical):
+        assert abs(closed) == pytest.approx(math.pi, abs=1e-12)
+        assert traj == pytest.approx(closed, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "p, steps",
+    [(params_from_beta(HolonomicGate(0.423)), 3001), (DriveParams(0.7, -0.4, 1.3), 64)],
+    ids=["beta0.423-3001", "generic-64"],
+)
+def test_trajectory_phases_match_the_matrix_expectation_on_the_block_grid(p, steps):
+    # <psi|H(t)|psi> from drive.hamiltonian on psi = U phi(0), U from the
+    # closed-form midpoint product at every block boundary (3001 steps: 751
+    # blocks of 4, the last of 1), then the trapezoid over those times
+    rep = full_report(p, steps)
+    dt = p.period / steps
+    size = 1
+    while -(-steps // size) > evolution._SCAN_BLOCKS:
+        size *= 2
+    ends = np.minimum(size * np.arange(-(-steps // size) + 1), steps)
+    us = midpoint_product(p, ends, dt)
+    es = eigensystem(p, 0.0)
+    worst = 0.0
+    for phi, traj in zip((es.eigvec_plus, es.eigvec_minus), rep.gamma_dynamical_trajectory):
+        energy = []
+        for n, u in zip(ends, us):
+            psi = u @ phi
+            energy.append(np.vdot(psi, hamiltonian(p, n * dt) @ psi).real)
+        energy = np.array(energy)
+        worst = max(worst, float(np.max(np.abs(energy))))
+        assert traj == pytest.approx(-np.trapezoid(energy, ends * dt), abs=1e-13)
+    assert rep.max_integrand_trajectory == pytest.approx(worst, abs=1e-14)
+
+
+def test_trajectory_phases_without_a_field_are_zero():
+    # Omega = Delta = 0: H vanishes, the states never move
+    rep = full_report(DriveParams(0.0, 0.0, 1.0), 64)
+    assert rep.gamma_dynamical_trajectory == (0.0, 0.0)
+    assert rep.max_integrand_trajectory == 0.0
 
 
 def test_verify_runs_the_phase_quadrature_once(monkeypatch, capsys):
