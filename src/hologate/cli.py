@@ -54,9 +54,16 @@ EXIT_INTERNAL = 4
 #: 10^6 steps), so the cap bounds its working memory at ~0.8 GB.
 MAX_VERIFY_STEPS = 10_000_000
 #: Largest ``trajectory --samples``. One beta peaks at ~710 B per sample
-#: (tracemalloc, 10^5 samples), so the cap bounds it at ~0.7 GB; every further
-#: beta keeps ~205 B per sample of CSV text until the file is written.
+#: (tracemalloc, 10^5 samples), so the cap bounds it at ~0.7 GB; the rows are
+#: written one beta at a time, so further betas add nothing to the peak.
 MAX_TRAJECTORY_SAMPLES = 1_000_000
+#: Largest count in ``trajectory --beta start:stop:count``. Every beta's drive
+#: is built before the file is opened, ~184 B per beta (tracemalloc, 10^5
+#: betas), so the cap bounds that list at ~0.2 GB.
+MAX_SWEEP_BETAS = 1_000_000
+#: Largest ``synth --length``. A batch of 128 starts peaks at ~39 kB per pulse
+#: (tracemalloc, lengths 200 and 400), so the cap bounds the search at ~0.4 GB.
+MAX_SYNTH_LENGTH = 10_000
 #: C in the trajectory_dynamical_phase bound C (T / steps)^2. Over 52 beta in
 #: [0.02, 1.55], max |gamma_traj| (steps / T)^2 measured 0.0589 at 16, 10^3,
 #: 10^4, 10^5 and 10^6 steps (0.0589 also on 1001 beta over [0, pi/2]).
@@ -293,6 +300,8 @@ def _synthesis_record(target: TargetGate, length: int, seed: int, result) -> lis
 
 
 def _cmd_synth(args) -> tuple[RunReport, int]:
+    if args.length > MAX_SYNTH_LENGTH:
+        raise ValueError(f"length must be <= {MAX_SYNTH_LENGTH}, got {args.length}")
     target = _resolve_target(args.target)
     config = OptimizerConfig(restarts=args.restarts)
     result = synthesize(target, args.length, config, rng_seed=args.seed)
@@ -364,6 +373,8 @@ def _parse_beta_spec(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("sweep count must be >= 1")
+        if count > MAX_SWEEP_BETAS:
+            raise ValueError(f"sweep count must be <= {MAX_SWEEP_BETAS}, got {count}")
         return [float(b) for b in np.linspace(start, stop, count)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -392,20 +403,18 @@ def _cmd_trajectory(args) -> tuple[RunReport, int]:
     if args.samples > MAX_TRAJECTORY_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_TRAJECTORY_SAMPLES}, got {args.samples}")
 
-    chunks = []
+    # every beta is validated before --out is opened, so a bad one leaves no file
+    drives = [params_from_beta(HolonomicGate(beta)) for beta in betas]
     worst_sphere = 0.0
-    for beta in betas:
-        p = params_from_beta(HolonomicGate(beta))  # validates the range
-        times = np.linspace(0.0, p.period, args.samples)
-        # swap the matrix axes so the last axis runs over a column's entries
-        points = bloch_vectors(np.swapaxes(exact_propagator(p, times), -1, -2))
-        sphere = np.abs(np.sum(points**2, axis=-1) - 1.0)
-        worst_sphere = max(worst_sphere, float(np.max(sphere)))
-        chunks.append(_trajectory_rows(beta, times, points))
-
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("beta,t,branch,x,y,z\n")
-        fh.write("".join(chunks))
+        for beta, p in zip(betas, drives):
+            times = np.linspace(0.0, p.period, args.samples)
+            # swap the matrix axes so the last axis runs over a column's entries
+            points = bloch_vectors(np.swapaxes(exact_propagator(p, times), -1, -2))
+            sphere = np.abs(np.sum(points**2, axis=-1) - 1.0)
+            worst_sphere = max(worst_sphere, float(np.max(sphere)))
+            fh.write(_trajectory_rows(beta, times, points))
 
     report = RunReport(
         "trajectory",
@@ -444,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="search for a pulse sequence hitting a target")
     p_synth.add_argument("--target", required=True, help="NOT|Hadamard|Phase|T or a matrix file")
-    p_synth.add_argument("--length", type=int, required=True)
+    p_synth.add_argument(
+        "--length", type=int, required=True, help=f"pulses, 1 to {MAX_SYNTH_LENGTH}"
+    )
     p_synth.add_argument("--restarts", type=int, default=100)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", help="write the synthesis record to this file")
@@ -455,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traj = sub.add_parser("trajectory", help="export Bloch trajectories as CSV")
     p_traj.add_argument(
-        "--beta", required=True, help="comma list '0.1,0.5' or sweep 'start:stop:count'"
+        "--beta",
+        required=True,
+        help=f"comma list '0.1,0.5' or sweep 'start:stop:count', count 1 to {MAX_SWEEP_BETAS}",
     )
     p_traj.add_argument(
         "--samples",

@@ -5,12 +5,11 @@ propagator, and the invariant equation itself.
 
 The integrator is a midpoint piecewise exponential (commutator-free
 second-order Magnus). Every step factor is an exact SU(2) element, stored as
-its Cayley-Klein pair (a, b) of [[a, b], [-conj(b), conj(a)]], and the
-factors are multiplied as pairs in a tree whose every level is renormalized
-to |a|^2 + |b|^2 = 1. The rounding of 10^6 nearly equal factors adds up
-coherently, so without the renormalization the norm would drift by ~1e-10;
-with it the product stays unitary to rounding no matter how many steps are
-taken. Only the final pair becomes a 2x2 matrix.
+an ``su2`` pair (a, b) and multiplied by ``pair_mul`` in a tree whose every
+level is renormalized to |a|^2 + |b|^2 = 1. The rounding of 10^6 nearly equal
+factors adds up coherently, so without the renormalization the norm would
+drift by ~1e-10; with it the product stays unitary to rounding no matter how
+many steps are taken. Only the final pair becomes a 2x2 matrix.
 
 The tree also yields the propagated states along the way. Its first level
 with at most ``_SCAN_BLOCKS`` pairs holds the products over consecutive
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import DriveParams, eigensystem, hamiltonian, invariant
-from .su2 import max_abs
+from .su2 import max_abs, pair_matrix, pair_mul, pair_unit
 
 #: Steps per period giving ~1e-8 propagator error over the model's range.
 DEFAULT_STEPS = 10_000
@@ -123,40 +122,18 @@ def _step_factors(
     return a, b
 
 
-def _pair_product(a1, b1, a2, b2):
-    """Cayley-Klein pair of [[a1, b1], ...] @ [[a2, b2], ...], elementwise."""
-    return a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()
-
-
-def _unit(a, b):
-    """The pairs divided by their norm sqrt(|a|^2 + |b|^2)."""
-    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
-    return a / norm, b / norm
-
-
-def _pair_matrix(a, b) -> np.ndarray:
-    """The matrices [[a, b], [-conj(b), conj(a)]], shape ``a.shape + (2, 2)``."""
-    u = np.empty(np.shape(a) + (2, 2), dtype=complex)
-    u[..., 0, 0] = a
-    u[..., 0, 1] = b
-    u[..., 1, 0] = -b.conjugate()
-    u[..., 1, 1] = a.conjugate()
-    return u
-
-
 def _ordered_product(a: np.ndarray, b: np.ndarray, max_blocks: int | None = None):
     """Product factors[-1] @ ... @ factors[0] of the Cayley-Klein pairs
     (a, b) along the last axis by pairwise tree reduction, returned as a
     ``a.shape[:-1] + (2, 2)`` matrix.
 
-    A later factor (a1, b1) times an earlier (a2, b2) is the pair
-    (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)); an odd element is carried to
-    the next level unchanged. Any pair is its norm times an SU(2) element, so
-    rounding can only move the norm away from 1 or perturb the rotation.
-    Every level is divided by sqrt(|a|^2 + |b|^2) because the rounding of 10^6
-    nearly equal factors is coherent, not a random walk: without this the
-    norm drifts by ~1e-10 at 10^6 steps, while the rotation stays within the
-    ~2e-12 midpoint error of the exact propagator.
+    A later factor multiplies an earlier one by ``pair_mul``; an odd element
+    is carried to the next level unchanged. Any pair is its norm times an
+    SU(2) element, so rounding can only move the norm away from 1 or perturb
+    the rotation. Every level is divided by sqrt(|a|^2 + |b|^2) because the
+    rounding of 10^6 nearly equal factors is coherent, not a random walk:
+    without this the norm drifts by ~1e-10 at 10^6 steps, while the rotation
+    stays within the ~2e-12 midpoint error of the exact propagator.
 
     With ``max_blocks``, returns ``(matrix, (size, a_k, b_k))`` where
     (a_k, b_k) is the first level with at most ``max_blocks`` pairs. Pairing
@@ -170,7 +147,7 @@ def _ordered_product(a: np.ndarray, b: np.ndarray, max_blocks: int | None = None
         if a.shape[-1] == 1:
             break
         n_pairs = a.shape[-1] // 2
-        pa, pb = _pair_product(
+        pa, pb = pair_mul(
             a[..., 1 : 2 * n_pairs : 2],
             b[..., 1 : 2 * n_pairs : 2],
             a[..., 0 : 2 * n_pairs : 2],
@@ -179,9 +156,9 @@ def _ordered_product(a: np.ndarray, b: np.ndarray, max_blocks: int | None = None
         if a.shape[-1] % 2:
             pa = np.concatenate([pa, a[..., -1:]], axis=-1)
             pb = np.concatenate([pb, b[..., -1:]], axis=-1)
-        a, b = _unit(pa, pb)
+        a, b = pair_unit(pa, pb)
         size *= 2
-    u = _pair_matrix(a[..., 0], b[..., 0])
+    u = pair_matrix(a[..., 0], b[..., 0])
     return u if max_blocks is None else (u, level)
 
 
@@ -195,7 +172,7 @@ def _prefix_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     shift = 1
     while shift < a.shape[0]:
-        pa, pb = _unit(*_pair_product(a[shift:], b[shift:], a[:-shift], b[:-shift]))
+        pa, pb = pair_unit(*pair_mul(a[shift:], b[shift:], a[:-shift], b[:-shift]))
         a = np.concatenate([a[:shift], pa])
         b = np.concatenate([b[:shift], pb])
         shift *= 2
@@ -245,7 +222,7 @@ def propagate_samples(
         us[1:] = _I2
         return times, us
     segments = _ordered_product(*factors)
-    us[1:] = _pair_matrix(*_prefix_products(segments[:, 0, 0], segments[:, 0, 1]))
+    us[1:] = pair_matrix(*_prefix_products(segments[:, 0, 0], segments[:, 0, 1]))
     return times, us
 
 

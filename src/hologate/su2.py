@@ -1,5 +1,6 @@
 """2x2 complex matrix toolbox: Pauli algebra, SU(2) exponentials, trace-overlap
-fidelity, and pure-state Bloch vectors.
+fidelity, pure-state Bloch vectors, and the one gate product that the integrator
+and the search share: SU(2) elements [[a, b], [-conj(b), conj(a)]] as pairs (a, b).
 
 Everything here is exact small-matrix arithmetic in double precision; there is
 deliberately no general-n machinery.
@@ -118,3 +119,32 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 def max_abs(m) -> float:
     """Entrywise max-modulus norm, the norm used by all agreement checks."""
     return float(np.max(np.abs(np.asarray(m))))
+
+
+def pair_mul(a1, b1, a2, b2):
+    """Cayley-Klein pair of [[a1, b1], ...] @ [[a2, b2], ...], elementwise."""
+    return a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()
+
+
+def pair_unit(a, b):
+    """The pairs divided by their norm sqrt(|a|^2 + |b|^2)."""
+    norm = np.sqrt(a.real**2 + a.imag**2 + b.real**2 + b.imag**2)
+    return a / norm, b / norm
+
+
+def pair_matrix(a, b) -> np.ndarray:
+    """The matrices [[a, b], [-conj(b), conj(a)]], shape ``a.shape + (2, 2)``."""
+    u = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    u[..., 0, 0] = a
+    u[..., 0, 1] = b
+    u[..., 1, 0] = -b.conjugate()
+    u[..., 1, 1] = a.conjugate()
+    return u
+
+
+def pair_of(m):
+    """Unit pair of m / sqrt(det m), the SU(2) part of a 2x2 unitary m (or of a
+    stack of them) up to the sign that the square root leaves open."""
+    m = np.asarray(m, dtype=complex)
+    m = m / np.sqrt(np.linalg.det(m))[..., None, None]
+    return pair_unit(m[..., 0, 0] + m[..., 1, 1].conj(), m[..., 0, 1] - m[..., 1, 0].conj())

@@ -1,13 +1,13 @@
 """Compose the one-parameter holonomic gate family into arbitrary one-qubit
 unitaries, and search for pulse sequences that hit a target gate.
 
-The search tracks the composed product as a real unit quaternion (w, v) with
-U = w I + i v.sigma and drives the residual q(beta) - s q_target to zero with
+The search tracks the composed product as its Cayley-Klein pair (a, b), read
+as a real 4-vector, and drives the residual (a, b) - s (a_t, b_t) to zero with
 Levenberg-Marquardt steps, every random start advancing in lockstep in one
 numpy batch. The Jacobian is exact: the product rule over prefix and suffix
-products of the pulse quaternions, i.e. the GRAPE gradient (Khaneja et al.,
-J. Magn. Reson. 172, 296 (2005)). Coordinates are unconstrained and folded
-into [0, pi/2] by reflection at the bounds.
+products of the pulse pairs (``su2.pair_mul``), i.e. the GRAPE gradient
+(Khaneja et al., J. Magn. Reson. 172, 296 (2005)). Coordinates are
+unconstrained and folded into [0, pi/2] by reflection at the bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .drive import HolonomicGate, analytic_gate
-from .su2 import FidelityReport, fidelity, max_abs
+from .su2 import FidelityReport, fidelity, max_abs, pair_mul, pair_of
 
 _HALF_PI = math.pi / 2
 _I2 = np.eye(2, dtype=complex)
@@ -158,9 +158,9 @@ def noncommutativity_witness(b1: float, b2: float) -> float:
     return max_abs(u1 @ u2 - u2 @ u1)
 
 
-# --- quaternion search -----------------------------------------------------
-# U = w I + i (x sx + y sy + z sz) is the unit quaternion (w, x, y, z), kept on
-# an array's last axis with one start per row.
+# --- pair search -----------------------------------------------------------
+# Pairs are read as real 4-vectors (Re a, Im a, Re b, Im b) on an array's last
+# axis, with one start per row.
 
 #: Starts advanced in one lockstep batch; bounds memory for large restart counts.
 _CHUNK = 128
@@ -175,71 +175,64 @@ def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(flip, math.pi - r, r), np.where(flip, -1.0, 1.0)
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quaternion of A @ B (A applied after B), broadcast over leading axes."""
-    w, x, y, z = np.moveaxis(a, -1, 0)
-    left = np.stack((w, -x, -y, -z, x, w, z, -y, y, -z, w, x, z, y, -x, w), axis=-1)
-    return np.einsum("...ij,...j->...i", left.reshape(left.shape[:-1] + (4, 4)), b)
+def _real(a, b) -> np.ndarray:
+    """The pairs (a, b) as real 4-vectors on a new last axis."""
+    return np.stack((a, b), axis=-1).view(float)
 
 
-def _target_quat(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion of m / sqrt(det m); the residual absorbs its sign."""
-    a, b, c, d = (m / np.sqrt(np.linalg.det(m))).ravel()
-    q = np.array([(a + d).real, (b + c).imag, (b - c).real, (a - d).imag])
-    return q / np.linalg.norm(q)
+def _target_pair(m: np.ndarray) -> np.ndarray:
+    """Unit pair of m / sqrt(det m) as a 4-vector; the residual absorbs its sign."""
+    return _real(*pair_of(m))
 
 
 def _jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The composed quaternion q for each row of ``x`` (starts, N), and
+    """The composed pair q for each row of ``x`` (starts, N), and
     dq/dx_k = (g_{N-1} .. g_{k+1}) dg_k/dx_k (g_{k-1} .. g_0), shape (starts, N, 4)."""
     beta, dbeta = _fold(x)
     s, c = np.sin(beta), np.cos(beta)
     sp, cp = np.sin(math.pi * s), np.cos(math.pi * s)
-    zero = np.zeros_like(beta)
-    g = np.stack((-cp, c * sp, zero, -s * sp), axis=-1)
-    dg = np.stack(
-        (math.pi * c * sp, math.pi * c * c * cp - s * sp, zero, -c * (sp + math.pi * s * cp)),
-        axis=-1,
-    )
-    prefix = np.zeros((len(x), x.shape[1] + 1, 4))
-    suffix = np.zeros_like(g)
-    prefix[:, 0, 0] = suffix[:, -1, 0] = 1.0
+    ga, gb = -cp - 1j * s * sp, 1j * c * sp
+    da = dbeta * (math.pi * c * sp - 1j * c * (sp + math.pi * s * cp))
+    db = dbeta * 1j * (math.pi * c * c * cp - s * sp)
+    pa, pb = np.ones((len(x), x.shape[1] + 1), complex), np.zeros((len(x), x.shape[1] + 1), complex)
+    sa, sb = np.ones_like(ga), np.zeros_like(gb)
     for k in range(x.shape[1]):
-        prefix[:, k + 1] = _quat_mul(g[:, k], prefix[:, k])
+        pa[:, k + 1], pb[:, k + 1] = pair_mul(ga[:, k], gb[:, k], pa[:, k], pb[:, k])
     for k in range(x.shape[1] - 1, 0, -1):
-        suffix[:, k - 1] = _quat_mul(suffix[:, k], g[:, k])
-    return prefix[:, -1], _quat_mul(suffix, _quat_mul(dg * dbeta[..., None], prefix[:, :-1]))
+        sa[:, k - 1], sb[:, k - 1] = pair_mul(sa[:, k], sb[:, k], ga[:, k], gb[:, k])
+    dq = pair_mul(sa, sb, *pair_mul(da, db, pa[:, :-1], pb[:, :-1]))
+    return _real(pa[:, -1], pb[:, -1]), _real(*dq)
 
 
-def _residual(x: np.ndarray, target_quat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual(x: np.ndarray, target_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """r = q - s q_target with s = sign(q . q_target) per start, so |r|^2 / 2 is
     the infidelity 1 - |tr(U^dag T)| / 2 exactly; and the Jacobian dr/dx."""
     q, jac = _jacobian(x)
-    sign = np.where(q @ target_quat >= 0.0, 1.0, -1.0)
-    return q - sign[:, None] * target_quat, jac
+    sign = np.where(q @ target_pair >= 0.0, 1.0, -1.0)
+    return q - sign[:, None] * target_pair, jac
 
 
-def _infidelity(x: np.ndarray, target_quat: np.ndarray) -> np.ndarray:
-    r = _residual(x, target_quat)[0]
+def _infidelity(x: np.ndarray, target_pair: np.ndarray) -> np.ndarray:
+    r = _residual(x, target_pair)[0]
     return 0.5 * np.einsum("si,si->s", r, r)
 
 
-def _descend(x: np.ndarray, target_quat: np.ndarray, tolerance: float):
+def _descend(x: np.ndarray, target_pair: np.ndarray, tolerance: float):
     """Levenberg-Marquardt on every row of ``x`` (starts, N) in lockstep. Stops
     once the first start within ``tolerance`` is within tolerance**2 (one or
     two steps later, by quadratic convergence), or after _MAX_ITERATIONS.
     Returns the coordinates, each start's infidelity and the iteration count."""
-    infidelity = _infidelity(x, target_quat)
+    infidelity = _infidelity(x, target_pair)
     damping = np.full(len(x), 1e-2)
     for iterations in range(_MAX_ITERATIONS + 1):
         hits = np.flatnonzero(infidelity <= tolerance)
         if iterations == _MAX_ITERATIONS or (hits.size and infidelity[hits[0]] <= tolerance**2):
             break
-        r, jac = _residual(x, target_quat)
+        r, jac = _residual(x, target_pair)
         # minimum-norm damped Gauss-Newton step -J^T (J J^T + damping I)^-1 r
         normal = np.einsum("sni,snj->sij", jac, jac) + damping[:, None, None] * np.eye(4)
         trial_x = x - np.einsum("sni,si->sn", jac, np.linalg.solve(normal, r[..., None])[..., 0])
-        trial = _infidelity(trial_x, target_quat)
+        trial = _infidelity(trial_x, target_pair)
         better = trial < infidelity
         x[better], infidelity[better] = trial_x[better], trial[better]
         # J J^T has rank <= 3 (dq is tangent to the unit sphere at q), so the
@@ -248,7 +241,7 @@ def _descend(x: np.ndarray, target_quat: np.ndarray, tolerance: float):
     return x, infidelity, iterations
 
 
-def _snap_to_bounds(betas: np.ndarray, target_quat: np.ndarray) -> np.ndarray:
+def _snap_to_bounds(betas: np.ndarray, target_pair: np.ndarray) -> np.ndarray:
     """Snap near-boundary solutions to the exact bound when not worse.
 
     A pulse at exactly pi/2 (identity) then flips to 0 (minus identity) when
@@ -257,7 +250,7 @@ def _snap_to_bounds(betas: np.ndarray, target_quat: np.ndarray) -> np.ndarray:
     """
 
     def objective(b: np.ndarray) -> float:
-        return _infidelity(b[None], target_quat)[0]
+        return _infidelity(b[None], target_pair)[0]
 
     snapped = np.where(betas < _BOUND_SNAP, 0.0, betas)
     snapped = np.where(snapped > _HALF_PI - _BOUND_SNAP, _HALF_PI, snapped)
@@ -272,9 +265,9 @@ def _snap_to_bounds(betas: np.ndarray, target_quat: np.ndarray) -> np.ndarray:
     return betas
 
 
-def _finish(target, x, target_quat, cfg, evaluations, restarts_used) -> SynthesisResult:
+def _finish(target, x, target_pair, cfg, evaluations, restarts_used) -> SynthesisResult:
     """Fold and snap the winning coordinates, then score them on the 2x2 product."""
-    seq = PulseSequence(tuple(_snap_to_bounds(_fold(x)[0], target_quat)))
+    seq = PulseSequence(tuple(_snap_to_bounds(_fold(x)[0], target_pair)))
     report = fidelity(compose(seq), target.matrix)
     # products of exact unitaries can overshoot 1 by rounding; clamp the report
     report = FidelityReport(
@@ -298,13 +291,13 @@ def synthesize(
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     cfg = config or OptimizerConfig()
-    target_quat = _target_quat(target.matrix)
+    target_pair = _target_pair(target.matrix)
     rng = np.random.default_rng(rng_seed)
     best_infidelity, best_x = math.inf, None
     evaluations, restarts_used = 0, cfg.restarts
     for first in range(0, cfg.restarts, _CHUNK):
         starts = rng.uniform(0.0, _HALF_PI, (min(_CHUNK, cfg.restarts - first), length))
-        x, infidelity, iterations = _descend(starts, target_quat, cfg.tolerance)
+        x, infidelity, iterations = _descend(starts, target_pair, cfg.tolerance)
         evaluations += iterations * len(x)
         hits = np.flatnonzero(infidelity <= cfg.tolerance)
         k = hits[0] if hits.size else int(np.argmin(infidelity))
@@ -313,7 +306,7 @@ def synthesize(
         if hits.size:
             restarts_used = first + int(k) + 1
             break
-    return _finish(target, best_x, target_quat, cfg, evaluations, restarts_used)
+    return _finish(target, best_x, target_pair, cfg, evaluations, restarts_used)
 
 
 def refine(target: TargetGate, betas, config: OptimizerConfig | None = None) -> SynthesisResult:
@@ -322,9 +315,9 @@ def refine(target: TargetGate, betas, config: OptimizerConfig | None = None) -> 
     x0 = np.asarray([float(b) for b in betas])
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("betas must be a nonempty 1-d sequence")
-    target_quat = _target_quat(target.matrix)
-    x, _, iterations = _descend(x0[None], target_quat, cfg.tolerance)
-    return _finish(target, x[0], target_quat, cfg, iterations, 0)
+    target_pair = _target_pair(target.matrix)
+    x, _, iterations = _descend(x0[None], target_pair, cfg.tolerance)
+    return _finish(target, x[0], target_pair, cfg, iterations, 0)
 
 
 def synthesize_shortest(

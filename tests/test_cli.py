@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import hologate.evolution as evolution
 from hologate import DriveParams, HolonomicGate, analytic_gate, bloch_of, max_abs
-from hologate.cli import MAX_TRAJECTORY_SAMPLES, MAX_VERIFY_STEPS, main
+from hologate.cli import (
+    MAX_SWEEP_BETAS,
+    MAX_SYNTH_LENGTH,
+    MAX_TRAJECTORY_SAMPLES,
+    MAX_VERIFY_STEPS,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +345,15 @@ def test_synth_rejects_non_positive_restarts(capsys, restarts):
     assert "restarts must be >= 1" in err
 
 
+def test_synth_rejects_length_above_the_cap(monkeypatch, capsys):
+    # the cap is checked before the search allocates; never run a huge length
+    monkeypatch.setattr("hologate.cli.synthesize", lambda *a, **k: pytest.fail("searched"))
+    for length in (MAX_SYNTH_LENGTH + 1, 10_000_000_000):
+        code, out, err = run_cli(capsys, "synth", "--target", "NOT", "--length", str(length))
+        assert code == 2 and out == ""
+        assert err == f"error: length must be <= {MAX_SYNTH_LENGTH}, got {length}\n"
+
+
 def test_synth_single_pulse_not_does_not_converge(capsys):
     code, out, _ = run_cli(
         capsys, "synth", "--target", "NOT", "--length", "1",
@@ -427,6 +442,44 @@ def test_trajectory_rejects_samples_above_the_cap(tmp_path, monkeypatch, capsys)
     assert code == 2 and out == ""
     assert err == f"error: samples must be <= {MAX_TRAJECTORY_SAMPLES}, got {samples}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_trajectory_rejects_sweep_count_above_the_cap(tmp_path, monkeypatch, capsys):
+    # np.linspace would allocate the whole sweep; never run a huge count
+    monkeypatch.setattr("hologate.cli.np.linspace", lambda *a: pytest.fail("swept"))
+    for count in (MAX_SWEEP_BETAS + 1, 10_000_000_000):
+        code, out, err = run_cli(
+            capsys, "trajectory", "--beta", f"0:1.5:{count}", "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: sweep count must be <= {MAX_SWEEP_BETAS}, got {count}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_trajectory_out_of_range_last_beta_writes_no_file(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "trajectory", "--beta", "0.3,0.9,1.6", "--samples", "5",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_trajectory_multi_beta_file_concatenates_single_beta_rows(tmp_path, capsys):
+    betas = ["0.2", "0.785", "1.4"]
+    paths = [tmp_path / f"{i}.csv" for i in range(len(betas))] + [tmp_path / "all.csv"]
+    for spec, path in zip(betas + [",".join(betas)], paths):
+        code, _, _ = run_cli(
+            capsys, "trajectory", "--beta", spec, "--samples", "9", "--out", str(path)
+        )
+        assert code == 0
+    expected = ["beta,t,branch,x,y,z\n"]
+    for path in paths[:-1]:
+        header, *rows = path.read_text().splitlines(keepends=True)
+        assert header == expected[0]
+        expected += rows
+    assert paths[-1].read_text() == "".join(expected)
 
 
 def test_trajectory_unwritable_path_is_io_error(tmp_path, capsys):

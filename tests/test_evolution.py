@@ -25,6 +25,7 @@ from hologate import (
     spectral_propagator,
 )
 from hologate.cli import TRAJECTORY_PHASE_COEFF, main
+from hologate.su2 import pair_matrix
 
 from conftest import random_drive
 from midpoint_oracle import midpoint_product
@@ -179,7 +180,7 @@ def test_prefix_scan_matches_closed_form_at_every_block_boundary(p, steps, max_b
     assert size == 1 or -(-steps // (size // 2)) > max_blocks
     ends = np.minimum(size * np.arange(1, a.shape[0] + 1), steps)
     expected = midpoint_product(p, ends, p.period / steps)
-    u = evolution._pair_matrix(*evolution._prefix_products(a, b))
+    u = pair_matrix(*evolution._prefix_products(a, b))
     assert max_abs(u - expected) <= 1e-14
 
 
@@ -192,7 +193,7 @@ def test_prefix_scan_of_raw_step_factors_stays_unit_and_exact():
     pa, pb = evolution._prefix_products(a, b)
     assert np.max(np.abs(pa.real**2 + pa.imag**2 + pb.real**2 + pb.imag**2 - 1.0)) <= 2e-15
     expected = midpoint_product(p, np.arange(1, steps + 1), p.period / steps)
-    assert max_abs(evolution._pair_matrix(pa, pb) - expected) <= 1e-14
+    assert max_abs(pair_matrix(pa, pb) - expected) <= 1e-14
 
 
 @pytest.mark.parametrize(

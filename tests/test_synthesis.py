@@ -21,7 +21,7 @@ from hologate import (
     synthesize,
     synthesize_shortest,
 )
-from hologate.synthesis import _fold, _infidelity, _jacobian, _target_quat
+from hologate.synthesis import _fold, _infidelity, _jacobian, _target_pair
 
 from conftest import random_unitary
 
@@ -185,6 +185,15 @@ def test_synthesize_not_gate_at_length_four():
     assert result.restarts_used <= 200
 
 
+def test_synthesize_hadamard_seven_pulses_does_the_pinned_work():
+    # the work of this search is a contract: a change that moves a start's
+    # path at rounding level shows up here before it shows up in the benchmark
+    result = synthesize(standard_target("Hadamard"), 7, rng_seed=0)
+    assert result.converged
+    assert result.restarts_used == 82
+    assert result.evaluations == 600
+
+
 def test_synthesize_is_deterministic():
     cfg = OptimizerConfig(restarts=30)
     a = synthesize(standard_target("Phase"), 4, cfg, rng_seed=42)
@@ -239,7 +248,7 @@ def test_residual_infidelity_matches_trace_fidelity_and_is_never_negative(coords
     target = TargetGate(random_unitary(np.random.default_rng(seed)))
     x = np.array([coords])
     seq = PulseSequence(tuple(_fold(x)[0][0]))
-    infidelity = _infidelity(x, _target_quat(target.matrix))[0]
+    infidelity = _infidelity(x, _target_pair(target.matrix))[0]
     assert infidelity >= 0.0
     expected = 1.0 - fidelity(compose(seq), target.matrix).magnitude
     assert infidelity == pytest.approx(expected, abs=1e-12)
