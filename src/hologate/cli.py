@@ -68,6 +68,26 @@ MAX_SYNTH_LENGTH = 10_000
 #: [0.02, 1.55], max |gamma_traj| (steps / T)^2 measured 0.0589 at 16, 10^3,
 #: 10^4, 10^5 and 10^6 steps (0.0589 also on 1001 beta over [0, pi/2]).
 TRAJECTORY_PHASE_COEFF = 0.07
+#: Every constant check bound, by check name; a check passes when its measured
+#: value is <= its bound. ``trajectory_dynamical_phase`` (TRAJECTORY_PHASE_COEFF)
+#: and ``converged`` (OptimizerConfig.tolerance) scale with their inputs.
+CHECK_BOUNDS = {
+    # verify
+    "unitarity": 1e-10,  # max |U^dag U - I|
+    "holonomy_integrand": 1e-12,  # max |<phi|H|phi>|
+    "dynamical_phase": 1e-8,  # max |gamma_d|
+    "total_phase": 1e-6,  # max |alpha_numeric - alpha_closed_form|
+    "aa_correspondence": 1e-6,  # max circular |AA eigenphase - alpha_numeric|
+    "spectral_agreement": 1e-6,  # max |U_spectral - U_num|
+    "transitionless": 1e-7,  # 1 - min |<phi(T)|U phi(0)>|
+    "invariant_equation": 1e-8,  # max |dI/dt + i[H, I]| at h = 1e-5
+    "analytic_agreement": 1e-6,  # max |U_num - U_analytic|
+    # catalog, per row
+    "reproduction": 1e-5,  # 1 - composed fidelity
+    "refinement": 1e-10,  # claimed - refined fidelity
+    # trajectory
+    "on_sphere": 1e-10,  # max |x^2 + y^2 + z^2 - 1|
+}
 
 
 @dataclass
@@ -77,15 +97,20 @@ class RunReport:
     command: str
     params: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)  # name -> (passed, detail)
+    checks: dict = field(default_factory=dict)  # name -> (measured value, bound)
     wall_time_s: float = 0.0
 
-    def check(self, name: str, passed: bool, detail: str) -> None:
-        self.checks[name] = (bool(passed), detail)
+    def check(self, name: str, value: float, bound: float) -> None:
+        self.checks[name] = (value, bound)
+
+    def verdicts(self):
+        """(name, passed, detail) per check; NaN fails, as nan <= bound is false."""
+        for name, (value, bound) in self.checks.items():
+            yield name, value <= bound, f"{value:.3e} <= {bound:.3e}"
 
     @property
     def all_passed(self) -> bool:
-        return all(ok for ok, _ in self.checks.values())
+        return all(ok for _, ok, _ in self.verdicts())
 
 
 def _fmt(value) -> str:
@@ -106,7 +131,7 @@ def _render(report: RunReport, machine: bool) -> str:
             lines.append(f"{key}={_fmt(value)}")
         for key, value in report.values.items():
             lines.append(f"{key}={_fmt(value)}")
-        for name, (ok, _) in report.checks.items():
+        for name, ok, _ in report.verdicts():
             lines.append(f"check_{name}={'pass' if ok else 'fail'}")
         lines.append(f"wall_time_s={_fmt(report.wall_time_s)}")
     else:
@@ -119,7 +144,7 @@ def _render(report: RunReport, machine: bool) -> str:
                 lines.append(f"  {key} = {_fmt(value)}")
         if report.checks:
             lines.append("checks:")
-            for name, (ok, detail) in report.checks.items():
+            for name, ok, detail in report.verdicts():
                 lines.append(f"  {name}: {'PASS' if ok else 'FAIL'} ({detail})")
         lines.append(f"wall time: {report.wall_time_s:.3f} s")
     return "\n".join(lines)
@@ -182,7 +207,8 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
     alpha_cf = lr_phase(p, p.period)
 
     report = RunReport("verify", params=params)
-    report.values["lam"] = eigensystem(p, 0.0).lam
+    v = report.values
+    v["lam"] = eigensystem(p, 0.0).lam
     for label, pair in (
         ("gamma_geometric", rep.gamma_geometric),
         ("gamma_dynamical", rep.gamma_dynamical),
@@ -190,67 +216,40 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
         ("alpha_closed_form", alpha_cf),
         ("aa_eigenphase", rep.aa_eigenphases),
     ):
-        report.values[f"{label}_plus"] = pair[0]
-        report.values[f"{label}_minus"] = pair[1]
-    report.values["max_integrand"] = rep.max_integrand
-    report.values["gamma_dynamical_trajectory_plus"] = rep.gamma_dynamical_trajectory[0]
-    report.values["gamma_dynamical_trajectory_minus"] = rep.gamma_dynamical_trajectory[1]
-    report.values["max_integrand_trajectory"] = rep.max_integrand_trajectory
-    report.values["transitionless_defect"] = rep.transitionless_defect
-
-    unitarity = max_abs(rep.propagator.conj().T @ rep.propagator - np.eye(2))
-    report.values["unitarity_defect"] = unitarity
-    report.check("unitarity", unitarity <= 1e-10, f"{unitarity:.3e} <= 1e-10")
-
-    report.check(
-        "holonomy_integrand",
-        rep.max_integrand <= 1e-12,
-        f"max |<phi|H|phi>| = {rep.max_integrand:.3e} <= 1e-12",
-    )
-    gd = max(abs(rep.gamma_dynamical[0]), abs(rep.gamma_dynamical[1]))
-    report.check("dynamical_phase", gd <= 1e-8, f"max |gamma_d| = {gd:.3e} <= 1e-8")
-    gd_traj = max(abs(g) for g in rep.gamma_dynamical_trajectory)
-    bound = TRAJECTORY_PHASE_COEFF * (p.period / args.steps) ** 2
-    report.check(
-        "trajectory_dynamical_phase",
-        gd_traj <= bound,
-        f"max |gamma_d along U_num(t) phi(0)| = {gd_traj:.3e} <= {bound:.3e}",
-    )
-
-    alpha_err = max(
-        abs(rep.alpha_numeric[0] - alpha_cf[0]), abs(rep.alpha_numeric[1] - alpha_cf[1])
-    )
-    report.values["alpha_error"] = alpha_err
-    report.check("total_phase", alpha_err <= 1e-6, f"{alpha_err:.3e} <= 1e-6")
-
-    aa_err = max(
-        _circular_distance(rep.aa_eigenphases[0], rep.alpha_numeric[0]),
-        _circular_distance(rep.aa_eigenphases[1], rep.alpha_numeric[1]),
-    )
-    report.values["aa_error"] = aa_err
-    report.check("aa_correspondence", aa_err <= 1e-6, f"{aa_err:.3e} <= 1e-6")
-
-    spectral_err = max_abs(rep.spectral - rep.propagator)
-    report.values["spectral_error"] = spectral_err
-    report.check("spectral_agreement", spectral_err <= 1e-6, f"{spectral_err:.3e} <= 1e-6")
-    report.values["exact_error"] = max_abs(rep.propagator - exact_propagator(p, p.period))
-
-    report.check(
-        "transitionless",
-        rep.transitionless_defect <= 1e-7,
-        f"{rep.transitionless_defect:.3e} <= 1e-7",
-    )
-
-    residual = max(
+        v[f"{label}_plus"], v[f"{label}_minus"] = pair
+    v["max_integrand"] = rep.max_integrand
+    v["gamma_dynamical_trajectory_plus"] = rep.gamma_dynamical_trajectory[0]
+    v["gamma_dynamical_trajectory_minus"] = rep.gamma_dynamical_trajectory[1]
+    v["max_integrand_trajectory"] = rep.max_integrand_trajectory
+    v["transitionless_defect"] = rep.transitionless_defect
+    v["unitarity_defect"] = max_abs(rep.propagator.conj().T @ rep.propagator - np.eye(2))
+    v["alpha_error"] = max(abs(a - b) for a, b in zip(rep.alpha_numeric, alpha_cf))
+    v["aa_error"] = max(map(_circular_distance, rep.aa_eigenphases, rep.alpha_numeric))
+    v["spectral_error"] = max_abs(rep.spectral - rep.propagator)
+    v["exact_error"] = max_abs(rep.propagator - exact_propagator(p, p.period))
+    v["invariant_residual"] = max(
         invariant_residual(p, frac * p.period, 1e-5) for frac in (0.1, 0.3, 0.5, 0.7, 0.9)
     )
-    report.values["invariant_residual"] = residual
-    report.check("invariant_equation", residual <= 1e-8, f"{residual:.3e} <= 1e-8")
-
     if analytic is not None:
-        gate_err = max_abs(rep.propagator - analytic)
-        report.values["analytic_gate_error"] = gate_err
-        report.check("analytic_agreement", gate_err <= 1e-6, f"{gate_err:.3e} <= 1e-6")
+        v["analytic_gate_error"] = max_abs(rep.propagator - analytic)
+
+    measured = {
+        "unitarity": v["unitarity_defect"],
+        "holonomy_integrand": rep.max_integrand,
+        "dynamical_phase": max(map(abs, rep.gamma_dynamical)),
+        "trajectory_dynamical_phase": max(map(abs, rep.gamma_dynamical_trajectory)),
+        "total_phase": v["alpha_error"],
+        "aa_correspondence": v["aa_error"],
+        "spectral_agreement": v["spectral_error"],
+        "transitionless": rep.transitionless_defect,
+        "invariant_equation": v["invariant_residual"],
+    }
+    if analytic is not None:
+        measured["analytic_agreement"] = v["analytic_gate_error"]
+    trajectory_bound = TRAJECTORY_PHASE_COEFF * (p.period / args.steps) ** 2
+    bounds = dict(CHECK_BOUNDS, trajectory_dynamical_phase=trajectory_bound)
+    for name, value in measured.items():
+        report.check(name, value, bounds[name])
     _put_matrix(report.values, "u", rep.propagator)
     return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
@@ -321,11 +320,7 @@ def _cmd_synth(args) -> tuple[RunReport, int]:
     report.values["evaluations"] = result.evaluations
     report.values["restarts_used"] = result.restarts_used
     report.values["converged"] = result.converged
-    report.check(
-        "converged",
-        result.converged,
-        f"infidelity {1.0 - result.fidelity.magnitude:.3e} <= {config.tolerance:.0e}",
-    )
+    report.check("converged", 1.0 - result.fidelity.magnitude, config.tolerance)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(_synthesis_record(target, args.length, args.seed, result)) + "\n")
@@ -346,15 +341,11 @@ def _cmd_catalog(args) -> tuple[RunReport, int]:
         report.values[f"{name}_claimed"] = entry.claimed_fidelity
         report.values[f"{name}_composed"] = fid.magnitude
         report.values[f"{name}_refined"] = refined.fidelity.magnitude
-        report.check(
-            f"reproduction_{name}",
-            fid.magnitude >= 1.0 - 1e-5,
-            f"composed fidelity {fid.magnitude:.11f} >= {1.0 - 1e-5:.5f}",
-        )
+        report.check(f"reproduction_{name}", 1.0 - fid.magnitude, CHECK_BOUNDS["reproduction"])
         report.check(
             f"refinement_{name}",
-            refined.fidelity.magnitude >= entry.claimed_fidelity - 1e-10,
-            f"refined {refined.fidelity.magnitude:.11f} >= claimed {entry.claimed_fidelity:.11f} - 1e-10",
+            entry.claimed_fidelity - refined.fidelity.magnitude,
+            CHECK_BOUNDS["refinement"],
         )
         deviation_magnitude += abs(fid.magnitude - entry.claimed_fidelity)
         deviation_phase += abs(fid.phase_sensitive - entry.claimed_fidelity)
@@ -423,7 +414,7 @@ def _cmd_trajectory(args) -> tuple[RunReport, int]:
     report.values["n_betas"] = len(betas)
     report.values["n_rows"] = len(betas) * (2 * args.samples + 2)
     report.values["max_sphere_deviation"] = worst_sphere
-    report.check("on_sphere", worst_sphere <= 1e-10, f"{worst_sphere:.3e} <= 1e-10")
+    report.check("on_sphere", worst_sphere, CHECK_BOUNDS["on_sphere"])
     return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

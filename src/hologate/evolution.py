@@ -394,16 +394,11 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
     )
 
 
-def spectral_propagator(p: DriveParams, steps: int = DEFAULT_STEPS) -> np.ndarray:
+def spectral_propagator(p: DriveParams) -> np.ndarray:
     """One-period propagator assembled from the invariant eigensystem:
-    sum_k exp(i alpha_k) |phi_k(T)><phi_k(0)| with quadrature alpha_k.
-
-    ``steps`` is validated (>= 16) as for ``full_report`` but no longer
-    changes the result: the phase integrands are constant in t, and the
-    quadrature evaluates them at fixed nodes.
+    sum_k exp(i alpha_k) |phi_k(T)><phi_k(0)| with quadrature alpha_k (the
+    phase integrands are constant in t, so the quadrature needs no time grid).
     """
-    if steps < 16:
-        raise ValueError(f"steps must be >= 16, got {steps}")
     gamma_g, gamma_d, _ = _phase_quadrature(p)
     return _spectral_form(p, (gamma_g[0] + gamma_d[0], gamma_g[1] + gamma_d[1]))
 

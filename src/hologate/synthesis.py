@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .drive import HolonomicGate, analytic_gate
-from .su2 import FidelityReport, fidelity, max_abs, pair_mul, pair_of
+from .su2 import UNITARY_TOL, FidelityReport, fidelity, is_unitary, max_abs, pair_mul, pair_of
 
 _HALF_PI = math.pi / 2
 _I2 = np.eye(2, dtype=complex)
@@ -35,15 +35,12 @@ class PulseSequence:
     """Ordered holonomic pulses; the first entry acts first. May be empty."""
 
     betas: tuple[float, ...]
-    omega_drive: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         for b in self.betas:
             if not 0.0 <= b <= _HALF_PI:
                 raise ValueError(f"every beta must lie in [0, pi/2], got {b}")
-        if not self.omega_drive > 0:
-            raise ValueError(f"omega_drive must be > 0, got {self.omega_drive}")
 
     def __len__(self) -> int:
         return len(self.betas)
@@ -62,8 +59,8 @@ class TargetGate:
             raise ValueError("target matrix must be 2x2")
         if not np.all(np.isfinite(m)):
             raise ValueError("target matrix entries must be finite")
-        if max_abs(m.conj().T @ m - _I2) > 1e-12:
-            raise ValueError("target matrix must be unitary within 1e-12")
+        if not is_unitary(m):
+            raise ValueError(f"target matrix must be unitary within {UNITARY_TOL:g}")
         object.__setattr__(self, "matrix", m)
 
 
@@ -101,7 +98,7 @@ def compose(seq: PulseSequence) -> np.ndarray:
     first, so it is the rightmost matrix factor)."""
     u = _I2.copy()
     for b in seq.betas:
-        u = analytic_gate(HolonomicGate(b, seq.omega_drive)) @ u
+        u = analytic_gate(HolonomicGate(b)) @ u
     return u
 
 
@@ -204,17 +201,17 @@ def _jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _real(pa[:, -1], pb[:, -1]), _real(*dq)
 
 
-def _residual(x: np.ndarray, target_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r = q - s q_target with s = sign(q . q_target) per start, so |r|^2 / 2 is
-    the infidelity 1 - |tr(U^dag T)| / 2 exactly; and the Jacobian dr/dx."""
+def _residual(x: np.ndarray, target_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r = q - s q_target with s = sign(q . q_target) per start, the Jacobian
+    dr/dx, and |r|^2 / 2, which is the infidelity 1 - |tr(U^dag T)| / 2 exactly."""
     q, jac = _jacobian(x)
     sign = np.where(q @ target_pair >= 0.0, 1.0, -1.0)
-    return q - sign[:, None] * target_pair, jac
+    r = q - sign[:, None] * target_pair
+    return r, jac, 0.5 * np.einsum("si,si->s", r, r)
 
 
 def _infidelity(x: np.ndarray, target_pair: np.ndarray) -> np.ndarray:
-    r = _residual(x, target_pair)[0]
-    return 0.5 * np.einsum("si,si->s", r, r)
+    return _residual(x, target_pair)[2]
 
 
 def _descend(x: np.ndarray, target_pair: np.ndarray, tolerance: float):
@@ -222,19 +219,19 @@ def _descend(x: np.ndarray, target_pair: np.ndarray, tolerance: float):
     once the first start within ``tolerance`` is within tolerance**2 (one or
     two steps later, by quadratic convergence), or after _MAX_ITERATIONS.
     Returns the coordinates, each start's infidelity and the iteration count."""
-    infidelity = _infidelity(x, target_pair)
+    r, jac, infidelity = _residual(x, target_pair)
     damping = np.full(len(x), 1e-2)
     for iterations in range(_MAX_ITERATIONS + 1):
         hits = np.flatnonzero(infidelity <= tolerance)
         if iterations == _MAX_ITERATIONS or (hits.size and infidelity[hits[0]] <= tolerance**2):
             break
-        r, jac = _residual(x, target_pair)
         # minimum-norm damped Gauss-Newton step -J^T (J J^T + damping I)^-1 r
         normal = np.einsum("sni,snj->sij", jac, jac) + damping[:, None, None] * np.eye(4)
         trial_x = x - np.einsum("sni,si->sn", jac, np.linalg.solve(normal, r[..., None])[..., 0])
-        trial = _infidelity(trial_x, target_pair)
-        better = trial < infidelity
-        x[better], infidelity[better] = trial_x[better], trial[better]
+        trial = _residual(trial_x, target_pair)
+        better = trial[2] < infidelity
+        x[better] = trial_x[better]
+        r[better], jac[better], infidelity[better] = (t[better] for t in trial)
         # J J^T has rank <= 3 (dq is tangent to the unit sphere at q), so the
         # floor keeps the 4x4 system invertible
         damping = np.where(better, np.maximum(damping / 3, 1e-12), damping * 4)

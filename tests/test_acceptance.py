@@ -31,6 +31,7 @@ from hologate import (
     standard_target,
     synthesize,
 )
+from hologate.cli import CHECK_BOUNDS
 from hologate.cli import main as cli_main
 
 BETA_GRID = np.linspace(0.0, math.pi / 2, 20)
@@ -54,9 +55,12 @@ def test_criterion_1_catalog_reproduction():
         composed = fidelity(compose(row.sequence), row.target.matrix).magnitude
         refined = refine(row.target, row.sequence.betas).fidelity.magnitude
         worst_composed = min(worst_composed, composed)
-        worst_margin = min(worst_margin, refined - (row.claimed_fidelity - 1e-10))
+        worst_margin = min(
+            worst_margin, refined - (row.claimed_fidelity - CHECK_BOUNDS["refinement"])
+        )
     elapsed = time.perf_counter() - start
-    passed = worst_composed >= 1.0 - 1e-5 and worst_margin >= 0.0 and elapsed < 1.0
+    composed_ok = worst_composed >= 1.0 - CHECK_BOUNDS["reproduction"]
+    passed = composed_ok and worst_margin >= 0.0 and elapsed < 1.0
     emit(
         1,
         passed,
@@ -80,11 +84,12 @@ def test_criterion_2_analytic_numeric_agreement():
             ratios.append(error_coarse / error_fine)
     elapsed = time.perf_counter() - start
     ratio_ok = len(ratios) >= 15 and all(2.5 < r < 6.0 for r in ratios)
-    passed = worst_error <= 1e-6 and ratio_ok and elapsed < 10.0
+    bound = CHECK_BOUNDS["analytic_agreement"]
+    passed = worst_error <= bound and ratio_ok and elapsed < 10.0
     emit(
         2,
         passed,
-        f"max |U_num - U_analytic| = {worst_error:.2e} <= 1e-6, "
+        f"max |U_num - U_analytic| = {worst_error:.2e} <= {bound:.0e}, "
         f"doubling ratio ~ {np.median(ratios):.2f}x over {len(ratios)} betas, {elapsed:.1f}s < 10s",
     )
 
@@ -104,11 +109,16 @@ def test_criterion_3_holonomy_verification():
         worst_gamma = max(worst_gamma, *(abs(g) for g in report.gamma_dynamical))
     control = full_report(DriveParams(1.0, 1.0, 1.0), 10_000)
     control_gamma = abs(control.gamma_dynamical[0])
-    passed = worst_integrand <= 1e-12 and worst_gamma <= 1e-8 and control_gamma > 0.1
+    integrand_bound = CHECK_BOUNDS["holonomy_integrand"]
+    gamma_bound = CHECK_BOUNDS["dynamical_phase"]
+    passed = (
+        worst_integrand <= integrand_bound and worst_gamma <= gamma_bound and control_gamma > 0.1
+    )
     emit(
         3,
         passed,
-        f"max integrand {worst_integrand:.2e} <= 1e-12, max |gamma_d| {worst_gamma:.2e} <= 1e-8, "
+        f"max integrand {worst_integrand:.2e} <= {integrand_bound:.0e}, "
+        f"max |gamma_d| {worst_gamma:.2e} <= {gamma_bound:.0e}, "
         f"non-holonomic |gamma_d+| = {control_gamma:.3f} > 0.1",
     )
 
@@ -130,11 +140,12 @@ def test_criterion_4_invariant_equation():
         if fine > 1e-12:
             ratios.append(coarse / fine)
     median_ratio = float(np.median(ratios))
-    passed = worst_residual <= 1e-8 and 3.5 < median_ratio < 4.5
+    bound = CHECK_BOUNDS["invariant_equation"]
+    passed = worst_residual <= bound and 3.5 < median_ratio < 4.5
     emit(
         4,
         passed,
-        f"max residual {worst_residual:.2e} <= 1e-8 at h=1e-5, "
+        f"max residual {worst_residual:.2e} <= {bound:.0e} at h=1e-5, "
         f"median halving ratio {median_ratio:.2f} (O(h^2))",
     )
 
@@ -161,12 +172,13 @@ def test_criterion_5_phase_correspondence():
             abs(report.alpha_numeric[0] - closed[0]),
             abs(report.alpha_numeric[1] - closed[1]),
         )
-    passed = worst_phase <= 1e-6 and worst_alpha <= 1e-6
+    alpha_bound = CHECK_BOUNDS["total_phase"]
+    passed = worst_phase <= 1e-6 and worst_alpha <= alpha_bound
     emit(
         5,
         passed,
         f"max eigenphase mismatch {worst_phase:.2e} <= 1e-6, "
-        f"max |alpha_num - alpha_closed| {worst_alpha:.2e} <= 1e-6",
+        f"max |alpha_num - alpha_closed| {worst_alpha:.2e} <= {alpha_bound:.0e}",
     )
 
 
@@ -174,11 +186,10 @@ def test_criterion_6_spectral_propagator():
     worst = 0.0
     for beta in BETA_GRID:
         p = params_from_beta(HolonomicGate(float(beta)))
-        worst = max(
-            worst, max_abs(spectral_propagator(p, 10_000) - propagate(p, p.period, 10_000))
-        )
-    passed = worst <= 1e-6
-    emit(6, passed, f"max |U_spectral - U_direct| = {worst:.2e} <= 1e-6")
+        worst = max(worst, max_abs(spectral_propagator(p) - propagate(p, p.period, 10_000)))
+    bound = CHECK_BOUNDS["spectral_agreement"]
+    passed = worst <= bound
+    emit(6, passed, f"max |U_spectral - U_direct| = {worst:.2e} <= {bound:.0e}")
 
 
 def test_criterion_7_fresh_synthesis():
@@ -246,10 +257,11 @@ def test_criterion_9_trajectory_sanity(tmp_path, capsys):
         if branch.endswith("_final") and beta in (0.0, math.pi / 2):
             pole = 1.0 if branch.startswith("0") else -1.0
             worst_pole = max(worst_pole, abs(x), abs(y), abs(z - pole))
-    passed = code == 0 and worst_sphere <= 1e-10 and worst_pole <= 1e-10
+    sphere_bound = CHECK_BOUNDS["on_sphere"]
+    passed = code == 0 and worst_sphere <= sphere_bound and worst_pole <= 1e-10
     emit(
         9,
         passed,
-        f"max |x^2+y^2+z^2 - 1| = {worst_sphere:.1e} <= 1e-10, "
+        f"max |x^2+y^2+z^2 - 1| = {worst_sphere:.1e} <= {sphere_bound:.0e}, "
         f"pole deviation at beta = 0, pi/2: {worst_pole:.1e}",
     )

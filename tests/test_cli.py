@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -5,16 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hologate.evolution as evolution
 from hologate import DriveParams, HolonomicGate, analytic_gate, bloch_of, max_abs
 from hologate.cli import (
+    CHECK_BOUNDS,
     MAX_SWEEP_BETAS,
     MAX_SYNTH_LENGTH,
     MAX_TRAJECTORY_SAMPLES,
     MAX_VERIFY_STEPS,
+    RunReport,
     main,
 )
 
@@ -87,6 +91,47 @@ def test_machine_floats_round_trip(capsys):
         if key.startswith(("check_", "command", "u0", "u1")) or key in ("drive",):
             continue
         assert f"{float(value):.17g}" == value, key
+
+
+# --- checks -----------------------------------------------------------------
+
+
+def test_check_bounds_are_pinned():
+    # a loosened bound would let a regressed run pass, so every entry is pinned
+    assert CHECK_BOUNDS == {
+        "unitarity": 1e-10,
+        "holonomy_integrand": 1e-12,
+        "dynamical_phase": 1e-8,
+        "total_phase": 1e-6,
+        "aa_correspondence": 1e-6,
+        "spectral_agreement": 1e-6,
+        "transitionless": 1e-7,
+        "invariant_equation": 1e-8,
+        "analytic_agreement": 1e-6,
+        "reproduction": 1e-5,
+        "refinement": 1e-10,
+        "on_sphere": 1e-10,
+    }
+
+
+def test_check_passes_at_its_bound_and_fails_on_nan():
+    report = RunReport("test")
+    report.check("at_bound", 1e-6, 1e-6)
+    assert report.all_passed
+    report.check("above", 2e-6, 1e-6)
+    report.check("nan", math.nan, 1e-6)
+    assert list(report.verdicts()) == [
+        ("at_bound", True, "1.000e-06 <= 1.000e-06"),
+        ("above", False, "2.000e-06 <= 1.000e-06"),
+        ("nan", False, "nan <= 1.000e-06"),
+    ]
+    assert not report.all_passed
+
+
+def test_verify_checks_take_their_constant_bounds_from_the_table(capsys):
+    _, out, _ = run_cli(capsys, "verify", "--beta", "0.5", "--steps", "64", "--machine")
+    names = {k[len("check_") :] for k in parse_machine(out) if k.startswith("check_")}
+    assert names - set(CHECK_BOUNDS) == {"trajectory_dynamical_phase"}
 
 
 # --- verify -----------------------------------------------------------------
@@ -524,6 +569,88 @@ def test_machine_output_is_byte_identical_across_runs(tmp_path, capsys, argv):
         outputs.append([ln for ln in out.splitlines() if not ln.startswith("wall_time_s=")])
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) > 1
+
+
+# --- fuzz -------------------------------------------------------------------
+
+#: Values that break naive numeric code. Every count also draws small in-range
+#: values, never one above its cap, so no example sizes a large allocation.
+_EDGE = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e300")
+#: Matrix files for synth --target: unitary, NaN and overflowing entries.
+_MATRIX_FILES = {"unitary": "0 1j\n1j 0\n", "nan": "nan 1j\n1j 0\n", "huge": "1e300 0\n0 1\n"}
+
+
+def _real():
+    return st.sampled_from(_EDGE) | st.floats(-1.0, 2.0).map(repr)
+
+
+def _count(cap):
+    return st.sampled_from(_EDGE) | st.integers(1, cap).map(str)
+
+
+def _option(name, values):
+    # --name=value, so that values such as -inf reach the program, not argparse
+    return st.just([]) | values.map(lambda v: [f"--{name}={v}"])
+
+
+@st.composite
+def _argv(draw, workdir):
+    command = draw(st.sampled_from(["gate", "verify", "synth", "catalog", "trajectory"]))
+    options = {
+        "gate": [("beta", _real())],
+        "verify": [
+            ("beta", _real()),
+            ("drive", st.tuples(_real(), _real()).map(",".join)),
+            ("steps", _count(4096)),
+        ],
+        "synth": [
+            (
+                "target",
+                st.sampled_from(["NOT", "Hadamard", "Phase", "T", "bogus"])
+                | st.sampled_from([str(workdir / name) for name in _MATRIX_FILES]),
+            ),
+            ("length", _count(6)),
+            ("restarts", _count(8)),
+            ("seed", st.sampled_from(_EDGE) | st.integers(0, 2**70).map(str)),
+            ("out", st.just(str(workdir / "record.txt"))),
+        ],
+        "catalog": [],
+        "trajectory": [
+            (
+                "beta",
+                st.lists(_real(), max_size=3).map(",".join)
+                | st.tuples(_real(), _real(), _count(8)).map(":".join),
+            ),
+            ("samples", _count(64)),
+            ("out", st.sampled_from([str(workdir / "t.csv"), str(workdir / "no" / "t.csv")])),
+        ],
+    }[command]
+    argv = [command]
+    for name, values in options:
+        argv += draw(_option(name, values))
+    return argv + draw(st.sampled_from([[], ["--machine"]]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    for name, text in _MATRIX_FILES.items():
+        (workdir / name).write_text(text)
+    return workdir
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_known_code_and_no_traceback(fuzz_dir, data):
+    argv = data.draw(_argv(fuzz_dir), label="argv")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
 
 
 # --- console entry point --------------------------------------------------------

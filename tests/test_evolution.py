@@ -404,7 +404,7 @@ def test_full_report_aborts_on_nonunitary_propagator(monkeypatch):
 
 def test_full_report_spectral_is_the_spectral_propagator():
     for p in (params_from_beta(HolonomicGate(0.423)), DriveParams(1.0, 1.0, 1.0)):
-        assert np.array_equal(full_report(p, 4096).spectral, spectral_propagator(p, 4096))
+        assert np.array_equal(full_report(p, 4096).spectral, spectral_propagator(p))
 
 
 def test_phase_quadrature_does_not_depend_on_steps():
@@ -536,26 +536,26 @@ def test_node_integrands_match_expectations_from_the_matrices(
 
 def test_spectral_propagator_detuned_rabi_free():
     # constant H = sz / 2 over one period gives exactly exp(-i pi sz) = -I
-    u = spectral_propagator(DriveParams(0.0, 1.0, 1.0), 4096)
+    u = spectral_propagator(DriveParams(0.0, 1.0, 1.0))
     assert max_abs(u + I2) < 1e-10
 
 
 def test_spectral_propagator_matches_analytic_gate():
     g = HolonomicGate(0.3)
-    u = spectral_propagator(params_from_beta(g), 10_000)
+    u = spectral_propagator(params_from_beta(g))
     assert max_abs(u - analytic_gate(g)) < 1e-6
 
 
 def test_spectral_propagator_matches_direct_propagation():
     p = params_from_beta(HolonomicGate(0.423))
-    assert max_abs(spectral_propagator(p, 10_000) - propagate(p, p.period, 10_000)) < 1e-6
+    assert max_abs(spectral_propagator(p) - propagate(p, p.period, 10_000)) < 1e-6
 
 
 def test_spectral_propagator_generic_drive():
     rng = np.random.default_rng(7)
     for _ in range(3):
         p = random_drive(rng)
-        assert max_abs(spectral_propagator(p, 8192) - propagate(p, p.period, 8192)) < 1e-6
+        assert max_abs(spectral_propagator(p) - propagate(p, p.period, 8192)) < 1e-6
 
 
 # --- invariant residual -------------------------------------------------------------

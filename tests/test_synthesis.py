@@ -48,8 +48,6 @@ def test_pulse_sequence_validation():
     assert len(PulseSequence(())) == 0
     with pytest.raises(ValueError):
         PulseSequence((0.1, 1.8))
-    with pytest.raises(ValueError):
-        PulseSequence((0.1,), omega_drive=0.0)
 
 
 def test_target_gate_validation():
