@@ -50,8 +50,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-#: Largest ``verify --steps``. A verify run peaks at ~76 B per step (tracemalloc,
-#: 10^6 steps), so the cap bounds its working memory at ~0.8 GB.
+#: Largest ``verify --steps``. The integrator streams its step factors, so a
+#: verify run peaks at ~2.4 MB whatever the count (tracemalloc, 10^6 and 10^7
+#: steps); the cap bounds its time, ~0.6 s at 10^7 steps, not its memory.
 MAX_VERIFY_STEPS = 10_000_000
 #: Largest ``trajectory --samples``. One beta peaks at ~710 B per sample
 #: (tracemalloc, 10^5 samples), so the cap bounds it at ~0.7 GB; the rows are
@@ -301,6 +302,8 @@ def _synthesis_record(target: TargetGate, length: int, seed: int, result) -> lis
 def _cmd_synth(args) -> tuple[RunReport, int]:
     if args.length > MAX_SYNTH_LENGTH:
         raise ValueError(f"length must be <= {MAX_SYNTH_LENGTH}, got {args.length}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     target = _resolve_target(args.target)
     config = OptimizerConfig(restarts=args.restarts)
     result = synthesize(target, args.length, config, rng_seed=args.seed)
@@ -366,7 +369,9 @@ def _parse_beta_spec(text: str) -> list[float]:
             raise ValueError("sweep count must be >= 1")
         if count > MAX_SWEEP_BETAS:
             raise ValueError(f"sweep count must be <= {MAX_SWEEP_BETAS}, got {count}")
-        return [float(b) for b in np.linspace(start, stop, count)]
+        # a non-finite end gives non-finite betas, which fail validation
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [float(b) for b in np.linspace(start, stop, count)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 

@@ -113,7 +113,10 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
-    return float(np.max(np.abs(u.conj().T @ u - _I2))) <= tol
+    # an overflowing entry makes the defect inf or NaN, which fails the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = u.conj().T @ u - _I2
+    return float(np.max(np.abs(defect))) <= tol
 
 
 def max_abs(m) -> float:

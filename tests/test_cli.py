@@ -375,6 +375,28 @@ def test_synth_rejects_non_finite_matrix_file(tmp_path, entry):
     assert "Traceback" not in result.stderr
 
 
+def test_synth_rejects_overflowing_matrix_file_with_one_line(tmp_path):
+    # u† u overflows to inf and NaN: the matrix is not unitary, and no numpy
+    # warning may precede the error line
+    matrix_file = tmp_path / "huge.mat"
+    matrix_file.write_text("1e300 0\n0 1\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "hologate.cli", "synth", "--target", str(matrix_file), "--length", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error:")
+
+
+def test_synth_rejects_a_negative_seed_by_name(monkeypatch, capsys):
+    monkeypatch.setattr("hologate.cli.synthesize", lambda *a, **k: pytest.fail("searched"))
+    code, out, err = run_cli(capsys, "synth", "--target", "NOT", "--length", "2", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_synth_rejects_unknown_target_name(capsys):
     code, _, err = run_cli(capsys, "synth", "--target", "CNOT", "--length", "2")
     assert code == 2
@@ -499,6 +521,15 @@ def test_trajectory_rejects_sweep_count_above_the_cap(tmp_path, monkeypatch, cap
         assert code == 2 and out == ""
         assert err == f"error: sweep count must be <= {MAX_SWEEP_BETAS}, got {count}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["inf:inf:1", "-1.7e308:1.7e308:3"])
+def test_trajectory_rejects_non_finite_sweep_ends(tmp_path, capsys, spec):
+    # np.linspace warns (invalid value, overflow) on these ends; the NaN betas
+    # it returns fail validation, with no RuntimeWarning on the way
+    code, out, err = run_cli(capsys, "trajectory", f"--beta={spec}", "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert err == "error: beta must lie in [0, pi/2], got nan\n"
 
 
 def test_trajectory_out_of_range_last_beta_writes_no_file(tmp_path, capsys):
