@@ -52,7 +52,8 @@ EXIT_INTERNAL = 4
 
 #: Largest ``verify --steps``. The integrator streams its step factors, so a
 #: verify run peaks at ~2.4 MB whatever the count (tracemalloc, 10^6 and 10^7
-#: steps); the cap bounds its time, ~0.6 s at 10^7 steps, not its memory.
+#: steps); the cap bounds its time, 0.25-0.32 s at 10^7 steps (in process,
+#: medians of 5 on a 2-core Xeon), not its memory.
 MAX_VERIFY_STEPS = 10_000_000
 #: Largest ``trajectory --samples``. One beta peaks at ~710 B per sample
 #: (tracemalloc, 10^5 samples), so the cap bounds it at ~0.7 GB; the rows are
@@ -80,6 +81,7 @@ CHECK_BOUNDS = {
     "total_phase": 1e-6,  # max |alpha_numeric - alpha_closed_form|
     "aa_correspondence": 1e-6,  # max circular |AA eigenphase - alpha_numeric|
     "spectral_agreement": 1e-6,  # max |U_spectral - U_num|
+    "spectral_exact": 1e-14,  # max |U_spectral - U_exact|
     "transitionless": 1e-7,  # 1 - min |<phi(T)|U phi(0)>|
     "invariant_equation": 1e-8,  # max |dI/dt + i[H, I]| at h = 1e-5
     "analytic_agreement": 1e-6,  # max |U_num - U_analytic|
@@ -226,8 +228,10 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
     v["unitarity_defect"] = max_abs(rep.propagator.conj().T @ rep.propagator - np.eye(2))
     v["alpha_error"] = max(abs(a - b) for a, b in zip(rep.alpha_numeric, alpha_cf))
     v["aa_error"] = max(map(_circular_distance, rep.aa_eigenphases, rep.alpha_numeric))
+    exact = exact_propagator(p, p.period)
     v["spectral_error"] = max_abs(rep.spectral - rep.propagator)
-    v["exact_error"] = max_abs(rep.propagator - exact_propagator(p, p.period))
+    v["spectral_exact_error"] = max_abs(rep.spectral - exact)
+    v["exact_error"] = max_abs(rep.propagator - exact)
     v["invariant_residual"] = max(
         invariant_residual(p, frac * p.period, 1e-5) for frac in (0.1, 0.3, 0.5, 0.7, 0.9)
     )
@@ -242,6 +246,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
         "total_phase": v["alpha_error"],
         "aa_correspondence": v["aa_error"],
         "spectral_agreement": v["spectral_error"],
+        "spectral_exact": v["spectral_exact_error"],
         "transitionless": rep.transitionless_defect,
         "invariant_equation": v["invariant_residual"],
     }

@@ -105,6 +105,7 @@ def test_check_bounds_are_pinned():
         "total_phase": 1e-6,
         "aa_correspondence": 1e-6,
         "spectral_agreement": 1e-6,
+        "spectral_exact": 1e-14,
         "transitionless": 1e-7,
         "invariant_equation": 1e-8,
         "analytic_agreement": 1e-6,
@@ -150,6 +151,8 @@ def test_verify_coarse_steps_exceed_thresholds(capsys):
     values = parse_machine(out)
     assert values["check_spectral_agreement"] == "fail"
     assert values["check_unitarity"] == "pass"
+    # the spectral form against the closed form takes no step count
+    assert values["check_spectral_exact"] == "pass"
 
 
 def test_verify_non_holonomic_drive_fails_by_design(capsys):
@@ -162,6 +165,7 @@ def test_verify_non_holonomic_drive_fails_by_design(capsys):
     assert values["check_total_phase"] == "pass"
     assert values["check_aa_correspondence"] == "pass"
     assert values["check_spectral_agreement"] == "pass"
+    assert values["check_spectral_exact"] == "pass"
 
 
 def test_verify_a_million_steps_passes_unitarity(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -77,6 +78,19 @@ def test_propagate_rejects_bad_arguments():
         propagate(p, 1.0, 0)
     with pytest.raises(ValueError):
         propagate(p, -1.0, 10)
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+def test_propagators_reject_a_non_finite_duration(duration):
+    # nan passed a plain duration < 0 test and came back as an all-NaN matrix,
+    # inf as a math domain error, each after a numpy RuntimeWarning, which the
+    # test configuration turns into an error
+    p = DriveParams(1.0, 0.0, 1.0)
+    message = f"duration must be finite and >= 0, got {duration}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        propagate(p, duration, 10)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        propagate_samples(p, duration, 3, 10)
 
 
 def test_propagate_second_order_convergence_generic():
@@ -161,14 +175,22 @@ def test_propagate_matches_closed_form_midpoint_product(p, steps, frac):
 
 
 @pytest.mark.parametrize(
-    "p", [params_from_beta(HolonomicGate(0.68)), DriveParams(1.0, 1.0, 1.0)], ids=["beta0.68", "1,1,1"]
+    "p, steps",
+    [
+        pytest.param(params_from_beta(HolonomicGate(0.68)), 1_000_000, id="beta0.68"),
+        pytest.param(DriveParams(1.0, 1.0, 1.0), 1_000_000, id="1,1,1"),
+        pytest.param(params_from_beta(HolonomicGate(0.68)), 10_000_000, id="beta0.68-1e7"),
+        pytest.param(DriveParams(1.0, 1.0, 1.0), 10_000_000, id="1,1,1-1e7"),
+    ],
 )
-def test_propagate_matches_closed_form_at_a_million_steps(p):
-    # measured <= 9e-16; without the per-level renormalization the norm alone
-    # drifts by ~1e-10 at this length
-    steps = 1_000_000
+def test_propagate_matches_closed_form_at_a_million_steps(p, steps):
+    # 10^7 is the verify --steps cap: rows of 2^14 steps, the longest that a
+    # tree reduces before dividing its root. Measured <= 9e-16 from the oracle
+    # and unitarity defect <= 4.5e-16 at both counts; without the root
+    # division the norm alone drifts by ~1e-10 at 10^6 steps
     u = propagate(p, p.period, steps)
     assert max_abs(u - midpoint_product(p, steps, p.period / steps)) <= 1e-14
+    assert max_abs(u.conj().T @ u - I2) <= 1e-15
 
 
 @given(p=drives, steps=st.integers(1, 3000), max_blocks=st.integers(1, 64))
