@@ -55,7 +55,7 @@ EXIT_INTERNAL = 4
 #: steps); the cap bounds its time, 0.25-0.32 s at 10^7 steps (in process,
 #: medians of 5 on a 2-core Xeon), not its memory.
 MAX_VERIFY_STEPS = 10_000_000
-#: Largest ``trajectory --samples``. One beta peaks at ~710 B per sample
+#: Largest ``trajectory --samples``. One beta peaks at ~700 B per sample
 #: (tracemalloc, 10^5 samples), so the cap bounds it at ~0.7 GB; the rows are
 #: written one beta at a time, so further betas add nothing to the peak.
 MAX_TRAJECTORY_SAMPLES = 1_000_000
@@ -369,7 +369,11 @@ def _parse_beta_spec(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("sweep spec must be 'start:stop:count'")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = float(parts[0]), float(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ValueError(f"sweep count must be an integer, got {parts[2]!r}") from None
         if count < 1:
             raise ValueError("sweep count must be >= 1")
         if count > MAX_SWEEP_BETAS:
@@ -380,19 +384,24 @@ def _parse_beta_spec(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _trajectory_rows(beta: float, times: np.ndarray, points: np.ndarray) -> str:
-    """CSV rows of one beta: branches "0" and "1" at every time, then the
-    one-period endpoint map as "0_final" and "1_final" at the last time.
+#: Stands for the beta field in the template from ``_trajectory_template``.
+_BETA_SLOT = "{beta}"
 
-    ``points`` has shape (samples, 2, 3): the Bloch vectors of U(t)|0> and
-    U(t)|1> at each time.
+
+def _trajectory_template(times: np.ndarray) -> str:
+    """CSV rows of one beta with t and branch written in, beta left as
+    ``_BETA_SLOT`` and x, y, z as ``%.17g`` fields: branches "0" and "1" at
+    every time, then the one-period endpoint map as "0_final" and "1_final" at
+    the last time.
+
+    Every beta shares the time grid, so its text is formatted once here. The
+    fields take, in order, the Bloch vectors of U(t)|0> and U(t)|1> at each
+    time and then again at the last time.
     """
-    t = np.broadcast_to(times[:, None, None], points.shape[:2] + (1,))
-    rows = np.concatenate([t, points], axis=2)  # (samples, 2, 4): t, x, y, z
-    row = f"{beta:.17g},%.17g,{{}},%.17g,%.17g,%.17g\n"
-    resolved = (row.format("0") + row.format("1")) * len(times)
-    final = row.format("0_final") + row.format("1_final")
-    return resolved % tuple(rows.ravel().tolist()) + final % tuple(rows[-1].ravel().tolist())
+    xyz = "%.17g,%.17g,%.17g\n"
+    stamps = [f"{_BETA_SLOT},{t:.17g}," for t in times.tolist()]
+    rows = "".join([f"{s}0,{xyz}{s}1,{xyz}" for s in stamps])
+    return rows + f"{stamps[-1]}0_final,{xyz}{stamps[-1]}1_final,{xyz}"
 
 
 def _cmd_trajectory(args) -> tuple[RunReport, int]:
@@ -406,16 +415,20 @@ def _cmd_trajectory(args) -> tuple[RunReport, int]:
 
     # every beta is validated before --out is opened, so a bad one leaves no file
     drives = [params_from_beta(HolonomicGate(beta)) for beta in betas]
+    # HolonomicGate drives at frequency 1 whatever beta, so one period serves all
+    times = np.linspace(0.0, drives[0].period, args.samples)
+    template = _trajectory_template(times)
     worst_sphere = 0.0
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("beta,t,branch,x,y,z\n")
         for beta, p in zip(betas, drives):
-            times = np.linspace(0.0, p.period, args.samples)
             # swap the matrix axes so the last axis runs over a column's entries
             points = bloch_vectors(np.swapaxes(exact_propagator(p, times), -1, -2))
-            sphere = np.abs(np.sum(points**2, axis=-1) - 1.0)
-            worst_sphere = max(worst_sphere, float(np.max(sphere)))
-            fh.write(_trajectory_rows(beta, times, points))
+            sphere = float(np.max(np.abs(np.sum(points**2, axis=-1) - 1.0)))
+            worst_sphere = max(worst_sphere, sphere)
+            values = tuple(np.concatenate((points, points[-1:])).ravel().tolist())
+            del points  # the text built next is the peak; the array adds ~48 B a sample
+            fh.write(template.replace(_BETA_SLOT, f"{beta:.17g}") % values)
 
     report = RunReport(
         "trajectory",

@@ -296,9 +296,12 @@ def exact_propagator(p: DriveParams, t) -> np.ndarray:
     ``t`` is a scalar or an array of times; the result has shape
     ``t.shape + (2, 2)``. This is the Lewis-Riesenfeld solution written out
     in the frame co-rotating with the drive, exact up to rounding for any
-    drive, holonomic or not.
+    drive, holonomic or not. Raises ValueError if any time is NaN or infinite.
     """
     t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"t must be finite, got {t[~finite][0]}")
     w = p.omega_drive
     dz = p.detuning - w
     lam = math.hypot(p.omega_rabi, dz)

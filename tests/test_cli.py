@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hologate.evolution as evolution
-from hologate import DriveParams, HolonomicGate, analytic_gate, bloch_of, max_abs
+from hologate import (
+    DriveParams,
+    HolonomicGate,
+    analytic_gate,
+    bloch_of,
+    bloch_vectors,
+    exact_propagator,
+    max_abs,
+    params_from_beta,
+)
 from hologate.cli import (
     CHECK_BOUNDS,
     MAX_SWEEP_BETAS,
@@ -536,6 +545,16 @@ def test_trajectory_rejects_non_finite_sweep_ends(tmp_path, capsys, spec):
     assert err == "error: beta must lie in [0, pi/2], got nan\n"
 
 
+@pytest.mark.parametrize("count", ["2.5", "x", ""])
+def test_trajectory_rejects_a_non_integer_sweep_count(tmp_path, capsys, count):
+    code, out, err = run_cli(
+        capsys, "trajectory", "--beta", f"0:1:{count}", "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: sweep count must be an integer, got {count!r}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_trajectory_out_of_range_last_beta_writes_no_file(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "trajectory", "--beta", "0.3,0.9,1.6", "--samples", "5",
@@ -560,6 +579,39 @@ def test_trajectory_multi_beta_file_concatenates_single_beta_rows(tmp_path, caps
         assert header == expected[0]
         expected += rows
     assert paths[-1].read_text() == "".join(expected)
+
+
+def expected_trajectory_csv(betas, samples):
+    """The trajectory CSV rebuilt row by row, one f-string per row."""
+    lines = ["beta,t,branch,x,y,z\n"]
+    for beta in betas:
+        p = params_from_beta(HolonomicGate(beta))
+        times = np.linspace(0.0, p.period, samples)
+        points = bloch_vectors(np.swapaxes(exact_propagator(p, times), -1, -2))
+        rows = [(t, str(b), points[i, b]) for i, t in enumerate(times) for b in (0, 1)]
+        rows += [(times[-1], f"{b}_final", points[-1, b]) for b in (0, 1)]
+        for t, branch, (x, y, z) in rows:
+            lines.append(f"{beta:.17g},{t:.17g},{branch},{x:.17g},{y:.17g},{z:.17g}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("samples", [2, 9])
+@pytest.mark.parametrize(
+    "spec, betas",
+    [
+        # both ends of [0, pi/2]
+        (f"0:{math.pi / 2!r}:5", np.linspace(0.0, math.pi / 2, 5).tolist()),
+        ("0.3,0.9,1.4", [0.3, 0.9, 1.4]),
+    ],
+    ids=["sweep", "list"],
+)
+def test_trajectory_csv_matches_an_independent_row_formatter(tmp_path, capsys, spec, betas, samples):
+    out_file = tmp_path / "t.csv"
+    code, _, _ = run_cli(
+        capsys, "trajectory", "--beta", spec, "--samples", str(samples), "--out", str(out_file)
+    )
+    assert code == 0
+    assert out_file.read_bytes() == expected_trajectory_csv(betas, samples).encode()
 
 
 def test_trajectory_unwritable_path_is_io_error(tmp_path, capsys):

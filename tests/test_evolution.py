@@ -359,6 +359,19 @@ def test_exact_propagator_shapes():
     assert max_abs(us[1, 2] - exact_propagator(p, 5.0)) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "t, shown",
+    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (np.array([0.0, 1.0, math.nan]), "nan")],
+    ids=["nan", "inf", "-inf", "array_with_nan"],
+)
+def test_exact_propagator_rejects_a_non_finite_time(t, shown):
+    # nan came back as an all-NaN matrix, inf after numpy's RuntimeWarning
+    # from cos, which the test configuration turns into an error
+    p = DriveParams(1.0, 0.3, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"t must be finite, got {shown}")):
+        exact_propagator(p, t)
+
+
 def test_midpoint_propagation_converges_to_exact_at_second_order():
     # measured 1.85e-6, 1.85e-8, 1.86e-10 at 1k, 10k, 100k steps
     p = params_from_beta(HolonomicGate(0.423))
