@@ -29,13 +29,9 @@ from .evolution import (
     full_report,
     invariant_residual,
     propagate,
-    propagate_samples,
-    spectral_propagator,
 )
 from .su2 import (
-    BlochPoint,
     FidelityReport,
-    bloch_of,
     bloch_vectors,
     fidelity,
     is_unitary,
@@ -61,7 +57,6 @@ from .synthesis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochPoint",
     "CatalogEntry",
     "ConsistencyError",
     "DEFAULT_STEPS",
@@ -76,7 +71,6 @@ __all__ = [
     "TargetGate",
     "aa_eigenphases",
     "analytic_gate",
-    "bloch_of",
     "bloch_vectors",
     "catalog",
     "compose",
@@ -96,9 +90,7 @@ __all__ = [
     "params_from_beta",
     "pauli",
     "propagate",
-    "propagate_samples",
     "refine",
-    "spectral_propagator",
     "standard_target",
     "su2_exp",
     "synthesize",

@@ -185,11 +185,21 @@ def _cmd_gate(args) -> tuple[RunReport, int]:
     return report, EXIT_OK
 
 
+def _number(text: str, what: str) -> float:
+    """``float(text)``, or a ValueError that names ``what``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {text!r}") from None
+
+
 def _parse_drive(text: str) -> DriveParams:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("--drive expects 'OMEGA_RABI,DETUNING' (drive frequency is 1)")
-    return DriveParams(float(parts[0]), float(parts[1]), 1.0)
+    rabi = _number(parts[0], "--drive OMEGA_RABI")
+    detuning = _number(parts[1], "--drive DETUNING")
+    return DriveParams(rabi, detuning, 1.0)
 
 
 def _cmd_verify(args) -> tuple[RunReport, int]:
@@ -263,12 +273,17 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
 def _parse_matrix_file(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         rows = []
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            entries = [tok for tok in line.replace(",", " ").split() if tok]
-            rows.append([complex(tok) for tok in entries])
+            rows.append([])
+            for tok in line.replace(",", " ").split():
+                try:
+                    rows[-1].append(complex(tok))
+                except ValueError:
+                    message = f"{path} line {number}: {tok!r} is not a complex number"
+                    raise ValueError(message) from None
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError(f"{path}: expected a 2x2 matrix (two lines of two complex entries)")
     return np.array(rows, dtype=complex)
@@ -369,7 +384,8 @@ def _parse_beta_spec(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("sweep spec must be 'start:stop:count'")
-        start, stop = float(parts[0]), float(parts[1])
+        start = _number(parts[0], "--beta sweep start")
+        stop = _number(parts[1], "--beta sweep stop")
         try:
             count = int(parts[2])
         except ValueError:
@@ -381,7 +397,7 @@ def _parse_beta_spec(text: str) -> list[float]:
         # a non-finite end gives non-finite betas, which fail validation
         with np.errstate(over="ignore", invalid="ignore"):
             return [float(b) for b in np.linspace(start, stop, count)]
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_number(tok, "--beta entry") for tok in text.split(",") if tok.strip()]
 
 
 #: Stands for the beta field in the template from ``_trajectory_template``.

@@ -66,6 +66,11 @@ _SCAN_BLOCKS = 1024
 #: steps slower still.
 _GROUP_STEPS = 2**15
 
+# One freed 2 MiB mmapped block raises glibc's mmap and trim thresholds above
+# the ~2.2 MB a group's temporaries peak at, so they stay in the heap instead
+# of going back to the kernel and faulting in again for every group.
+np.empty(2**17, dtype=complex)
+
 #: Nodes at which ``_phase_quadrature`` evaluates the phase integrands.
 _QUADRATURE_NODES = 17
 
@@ -96,7 +101,10 @@ class EvolutionReport:
     largest |<psi|H|psi>| on their time grid; both read the integrator's
     O(dt^2) error on a holonomic drive.
     ``aa_eigenphases`` are the eigenphases of the numerical propagator in
-    [0, 2 pi), branch-matched by eigenvector overlap.
+    [0, 2 pi), branch-matched by eigenvector overlap. ``spectral`` is the
+    propagator sum_k exp(i alpha_k) |phi_k(T)><phi_k(0)| built from the
+    invariant eigensystem and ``alpha_numeric``, so it does not depend on
+    ``steps`` either.
     """
 
     propagator: np.ndarray
@@ -106,7 +114,6 @@ class EvolutionReport:
     max_integrand: float
     transitionless_defect: float
     aa_eigenphases: tuple[float, float]
-    steps: int
     spectral: np.ndarray
     gamma_dynamical_trajectory: tuple[float, float]
     max_integrand_trajectory: float
@@ -167,12 +174,6 @@ def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             pb = np.concatenate([pb, b[..., -1:]], axis=-1)
         a, b = pa, pb
     return pair_unit(a[..., 0], b[..., 0])
-
-
-def _ordered_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_pair_product`` of the pairs (a, b) as a ``a.shape[:-1] + (2, 2)``
-    matrix."""
-    return pair_matrix(*_pair_product(a, b))
 
 
 def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.ndarray] | None:
@@ -257,35 +258,7 @@ def propagate(p: DriveParams, duration: float, steps: int) -> np.ndarray:
     sink = _level_sink.get()
     if sink is not None:
         sink.append(level)
-    return _ordered_product(level[1], level[2])
-
-
-def propagate_samples(
-    p: DriveParams, duration: float, samples: int, steps_per_segment: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator snapshots U(t_i) on t_i = i * duration / (samples - 1).
-
-    Returns (times, stack of 2x2 propagators); each segment between snapshots
-    is integrated with ``steps_per_segment`` midpoint steps. The segments are
-    the rows of ``_row_products``, streamed a group at a time, and the
-    snapshots are the prefix products of the segment propagators.
-    """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if steps_per_segment < 1:
-        raise ValueError(f"steps_per_segment must be >= 1, got {steps_per_segment}")
-    if not math.isfinite(duration) or duration < 0:
-        raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    times = np.linspace(0.0, duration, samples)
-    us = np.empty((samples, 2, 2), dtype=complex)
-    us[0] = _I2
-    dt = duration / (samples - 1) / steps_per_segment
-    segments = _row_products(p, dt, [(times[:-1], steps_per_segment)])
-    if segments is None:
-        us[1:] = _I2
-        return times, us
-    us[1:] = pair_matrix(*_prefix_products(*segments))
-    return times, us
+    return pair_matrix(*_pair_product(level[1], level[2]))
 
 
 def exact_propagator(p: DriveParams, t) -> np.ndarray:
@@ -369,7 +342,7 @@ def _trajectory_phases(
     """Per branch, -int <psi|H|psi> dt along psi(t) = U_num(t) phi(0) for the
     initial states ``phis`` (+, -), and the largest |<psi|H|psi>| over both.
 
-    ``level`` is the tree level (size, a, b) of ``_ordered_product``; its
+    ``level`` is the tree level (size, a, b) of ``_scan_level``; its
     prefix products are U_num at the block boundaries t_j = min(j size, steps)
     dt, and the integral is the trapezoid over those times.
     """
@@ -385,15 +358,6 @@ def _trajectory_phases(
         gammas.append(-0.5 * float(np.sum(np.diff(ts) * (energy[1:] + energy[:-1]))))
         max_integrand = max(max_integrand, float(np.max(np.abs(energy))))
     return (gammas[0], gammas[1]), max_integrand
-
-
-def _spectral_form(p: DriveParams, alpha: tuple[float, float]) -> np.ndarray:
-    """sum_k exp(i alpha_k) |phi_k(T)><phi_k(0)| over the (+, -) branches."""
-    es0 = eigensystem(p, 0.0)
-    es_t = eigensystem(p, p.period)
-    return np.exp(1j * alpha[0]) * np.outer(es_t.eigvec_plus, es0.eigvec_plus.conj()) + np.exp(
-        1j * alpha[1]
-    ) * np.outer(es_t.eigvec_minus, es0.eigvec_minus.conj())
 
 
 def aa_eigenphases(u: np.ndarray, p: DriveParams) -> tuple[float, float]:
@@ -444,6 +408,8 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
         abs(np.vdot(es_t.eigvec_plus, u @ es0.eigvec_plus)),
         abs(np.vdot(es_t.eigvec_minus, u @ es0.eigvec_minus)),
     )
+    spectral = np.exp(1j * alpha[0]) * np.outer(es_t.eigvec_plus, es0.eigvec_plus.conj())
+    spectral += np.exp(1j * alpha[1]) * np.outer(es_t.eigvec_minus, es0.eigvec_minus.conj())
     return EvolutionReport(
         propagator=u,
         alpha_numeric=alpha,
@@ -452,20 +418,10 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
         max_integrand=max_integrand,
         transitionless_defect=1.0 - survival,
         aa_eigenphases=aa_eigenphases(u, p),
-        steps=steps,
-        spectral=_spectral_form(p, alpha),
+        spectral=spectral,
         gamma_dynamical_trajectory=gamma_traj,
         max_integrand_trajectory=max_integrand_traj,
     )
-
-
-def spectral_propagator(p: DriveParams) -> np.ndarray:
-    """One-period propagator assembled from the invariant eigensystem:
-    sum_k exp(i alpha_k) |phi_k(T)><phi_k(0)| with quadrature alpha_k (the
-    phase integrands are constant in t, so the quadrature needs no time grid).
-    """
-    gamma_g, gamma_d, _ = _phase_quadrature(p)
-    return _spectral_form(p, (gamma_g[0] + gamma_d[0], gamma_g[1] + gamma_d[1]))
 
 
 def invariant_residual(p: DriveParams, t: float, h: float) -> float:

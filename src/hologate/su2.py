@@ -9,7 +9,6 @@ deliberately no general-n machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +21,6 @@ _SIGMA = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-class BlochPoint(NamedTuple):
-    """Pauli expectation values (x, y, z) of a pure state; unit norm."""
-
-    x: float
-    y: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -98,14 +89,6 @@ def bloch_vectors(states) -> np.ndarray:
     return np.stack(
         [2.0 * cross.real, 2.0 * cross.imag, np.abs(up) ** 2 - np.abs(down) ** 2], axis=-1
     )
-
-
-def bloch_of(state) -> BlochPoint:
-    """Bloch vector (<sx>, <sy>, <sz>) of one normalized pure state."""
-    s = np.asarray(state, dtype=complex).reshape(-1)
-    if s.shape != (2,):
-        raise ValueError("state must be a complex 2-vector")
-    return BlochPoint(*bloch_vectors(s).tolist())
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:

@@ -15,7 +15,6 @@ from hologate import (
     DriveParams,
     HolonomicGate,
     analytic_gate,
-    bloch_of,
     bloch_vectors,
     exact_propagator,
     max_abs,
@@ -488,7 +487,7 @@ def test_trajectory_final_rows_are_the_analytic_gate_columns(tmp_path, capsys):
     for beta, t, branch, *point in finals:
         assert t == 2 * math.pi
         column = analytic_gate(HolonomicGate(beta))[:, int(branch[0])]
-        assert max_abs(np.array(point) - bloch_of(column)) <= 1e-14
+        assert max_abs(np.array(point) - bloch_vectors(column)) <= 1e-14
 
 
 def test_trajectory_time_resolved_row_counts(tmp_path, capsys):
@@ -543,6 +542,44 @@ def test_trajectory_rejects_non_finite_sweep_ends(tmp_path, capsys, spec):
     code, out, err = run_cli(capsys, "trajectory", f"--beta={spec}", "--out", str(tmp_path / "x.csv"))
     assert code == 2 and out == ""
     assert err == "error: beta must lie in [0, pi/2], got nan\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("a:1:2", "--beta sweep start must be a number, got 'a'"),
+        ("0:b:2", "--beta sweep stop must be a number, got 'b'"),
+        ("0.1,b", "--beta entry must be a number, got 'b'"),
+    ],
+    ids=["start", "stop", "entry"],
+)
+def test_trajectory_names_a_malformed_beta(tmp_path, capsys, spec, message):
+    code, out, err = run_cli(capsys, "trajectory", "--beta", spec, "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "drive, message",
+    [
+        ("a,1", "--drive OMEGA_RABI must be a number, got 'a'"),
+        ("1,b", "--drive DETUNING must be a number, got 'b'"),
+    ],
+    ids=["OMEGA_RABI", "DETUNING"],
+)
+def test_verify_names_a_malformed_drive_field(capsys, drive, message):
+    code, out, err = run_cli(capsys, "verify", "--drive", drive)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_synth_names_the_line_of_a_malformed_matrix_entry(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_text("# the identity, with a typo\n1 0\n0 x\n")
+    code, out, err = run_cli(capsys, "synth", "--target", "m.txt", "--length", "2")
+    assert code == 2 and out == ""
+    assert err == "error: m.txt line 3: 'x' is not a complex number\n"
 
 
 @pytest.mark.parametrize("count", ["2.5", "x", ""])

@@ -24,8 +24,6 @@ from hologate import (
     max_abs,
     params_from_beta,
     propagate,
-    propagate_samples,
-    spectral_propagator,
 )
 from hologate.cli import TRAJECTORY_PHASE_COEFF, main
 from hologate.su2 import pair_matrix
@@ -89,8 +87,6 @@ def test_propagators_reject_a_non_finite_duration(duration):
     message = f"duration must be finite and >= 0, got {duration}"
     with pytest.raises(ValueError, match=re.escape(message)):
         propagate(p, duration, 10)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        propagate_samples(p, duration, 3, 10)
 
 
 def test_propagate_second_order_convergence_generic():
@@ -143,25 +139,25 @@ def test_pair_product_matches_sequential_matrix_product(length, seed):
     reference = I2
     for ak, bk in zip(a, b):
         reference = np.array([[ak, bk], [-bk.conjugate(), ak.conjugate()]]) @ reference
-    u = evolution._ordered_product(a, b)
+    u = pair_matrix(*evolution._pair_product(a, b))
     assert max_abs(u - reference) <= 1e-13
     assert abs(np.linalg.det(u) - 1.0) <= 2e-15
     assert max_abs(u.conj().T @ u - I2) <= 1e-15
 
 
-def test_propagate_samples_endpoint_and_grid():
-    p = params_from_beta(HolonomicGate(0.6))
-    times, us = propagate_samples(p, p.period, 11, 100)
-    assert times[0] == 0.0 and times[-1] == pytest.approx(p.period)
-    assert max_abs(us[0] - I2) == 0.0
-    assert max_abs(us[-1] - propagate(p, p.period, 1000)) < 1e-10
-    with pytest.raises(ValueError):
-        propagate_samples(p, p.period, 1, 100)
-
-
 # --- closed-form midpoint product -----------------------------------------------------
 # midpoint_oracle telescopes the ordered product of the step factors, so it
 # checks the tree and the prefix scan to rounding, not the truncation error.
+
+
+def segment_snapshots(p, duration, samples, per_segment):
+    """The propagator at t_i = i duration / (samples - 1), i = 1 .. samples - 1,
+    as pairs: the segments between the times are the rows of one set of
+    ``_row_products`` with ``per_segment`` steps each, and the snapshots their
+    prefix products."""
+    times = np.linspace(0.0, duration, samples)
+    dt = duration / (samples - 1) / per_segment
+    return evolution._prefix_products(*evolution._row_products(p, dt, [(times[:-1], per_segment)]))
 
 
 @given(p=drives, steps=st.integers(1, 3000), frac=st.floats(0.01, 1.0))
@@ -229,9 +225,9 @@ def test_propagate_samples_matches_closed_form_midpoint_product(p):
     # snapshot i is the product of the first i segments of 333 steps each;
     # measured <= 8.5e-16
     samples, per_segment = 11, 333
-    times, us = propagate_samples(p, p.period, samples, per_segment)
+    us = pair_matrix(*segment_snapshots(p, p.period, samples, per_segment))
     dt = p.period / (samples - 1) / per_segment
-    expected = midpoint_product(p, per_segment * np.arange(samples), dt)
+    expected = midpoint_product(p, per_segment * np.arange(1, samples), dt)
     assert max_abs(us - expected) <= 1e-14
 
 
@@ -278,10 +274,11 @@ def test_streamed_propagate_samples_match_the_one_shot_product(p, samples, per_s
     # measured <= 1.65e-15 at the corner of the drive range, over 4,500 grids
     assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
     duration = frac * p.period
-    times, us = propagate_samples(p, duration, samples, per_segment)
-    a, b = tree_product(*step_factors(p, times[:-1, None], duration / (samples - 1), per_segment))
+    us = pair_matrix(*segment_snapshots(p, duration, samples, per_segment))
+    t0 = np.linspace(0.0, duration, samples)[:-1, None]
+    a, b = tree_product(*step_factors(p, t0, duration / (samples - 1), per_segment))
     expected = pair_matrix(*evolution._prefix_products(a, b))
-    assert max_abs(us[1:] - expected) <= 4e-15
+    assert max_abs(us - expected) <= 4e-15
 
 
 def test_propagate_never_holds_every_step_factor():
@@ -386,11 +383,13 @@ def test_midpoint_propagation_converges_to_exact_at_second_order():
     "p", [params_from_beta(HolonomicGate(0.6)), DriveParams(1.0, 1.0, 1.0)], ids=["beta0.6", "1,1,1"]
 )
 def test_propagate_samples_agrees_with_exact_on_its_grid(p):
-    # measured 2.0e-8 (beta 0.6) and 5.2e-8 (1,1,1) at 1000 steps per segment,
-    # 4x that at 500: second order on every grid point
+    # propagate over [0, t_i] with `steps` steps per tenth of the period, at
+    # the 10 nonzero t_i; measured 1.99e-8 (beta 0.6) and 5.17e-8 (1,1,1) at
+    # 1000 steps per tenth, 4x that at 500: second order on every grid point
+    times = np.linspace(0.0, p.period, 11)[1:]
     errors = []
     for steps in (500, 1000):
-        times, us = propagate_samples(p, p.period, 11, steps)
+        us = np.array([propagate(p, t, i * steps) for i, t in enumerate(times, 1)])
         errors.append(max_abs(us - exact_propagator(p, times)))
     assert errors[1] <= 1e-7
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
@@ -503,11 +502,6 @@ def test_full_report_aborts_on_nonunitary_propagator(monkeypatch):
         full_report(DriveParams(1.0, 0.0, 1.0), 64)
 
 
-def test_full_report_spectral_is_the_spectral_propagator():
-    for p in (params_from_beta(HolonomicGate(0.423)), DriveParams(1.0, 1.0, 1.0)):
-        assert np.array_equal(full_report(p, 4096).spectral, spectral_propagator(p))
-
-
 def test_phase_quadrature_does_not_depend_on_steps():
     rng = np.random.default_rng(9)
     for p in (params_from_beta(HolonomicGate(0.423)), DriveParams(1.0, 1.0, 1.0), random_drive(rng)):
@@ -515,6 +509,7 @@ def test_phase_quadrature_does_not_depend_on_steps():
         assert coarse.gamma_geometric == fine.gamma_geometric
         assert coarse.gamma_dynamical == fine.gamma_dynamical
         assert coarse.max_integrand == fine.max_integrand
+        assert np.array_equal(coarse.spectral, fine.spectral)
 
 
 @given(
@@ -633,30 +628,33 @@ def test_node_integrands_match_expectations_from_the_matrices(
 
 
 # --- spectral propagator -----------------------------------------------------------
+# EvolutionReport.spectral does not depend on the step count
+# (test_phase_quadrature_does_not_depend_on_steps), so 16 steps serve where
+# the propagator is not compared.
 
 
 def test_spectral_propagator_detuned_rabi_free():
     # constant H = sz / 2 over one period gives exactly exp(-i pi sz) = -I
-    u = spectral_propagator(DriveParams(0.0, 1.0, 1.0))
+    u = full_report(DriveParams(0.0, 1.0, 1.0), 16).spectral
     assert max_abs(u + I2) < 1e-10
 
 
 def test_spectral_propagator_matches_analytic_gate():
     g = HolonomicGate(0.3)
-    u = spectral_propagator(params_from_beta(g))
+    u = full_report(params_from_beta(g), 16).spectral
     assert max_abs(u - analytic_gate(g)) < 1e-6
 
 
 def test_spectral_propagator_matches_direct_propagation():
-    p = params_from_beta(HolonomicGate(0.423))
-    assert max_abs(spectral_propagator(p) - propagate(p, p.period, 10_000)) < 1e-6
+    rep = full_report(params_from_beta(HolonomicGate(0.423)), 10_000)
+    assert max_abs(rep.spectral - rep.propagator) < 1e-6
 
 
 def test_spectral_propagator_generic_drive():
     rng = np.random.default_rng(7)
     for _ in range(3):
-        p = random_drive(rng)
-        assert max_abs(spectral_propagator(p) - propagate(p, p.period, 8192)) < 1e-6
+        rep = full_report(random_drive(rng), 8192)
+        assert max_abs(rep.spectral - rep.propagator) < 1e-6
 
 
 # --- invariant residual -------------------------------------------------------------

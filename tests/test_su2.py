@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hologate import (
     PulseSequence,
-    bloch_of,
     bloch_vectors,
     compose,
     fidelity,
@@ -124,13 +123,13 @@ def test_fidelity_magnitude_ignores_global_phase(phase, seed):
     ],
 )
 def test_bloch_of_named_states(state, expected):
-    point = bloch_of(np.array(state, dtype=complex))
+    point = bloch_vectors(np.array(state, dtype=complex))
     assert np.allclose(point, expected, atol=1e-15)
 
 
 def test_bloch_of_rejects_unnormalized():
     with pytest.raises(ValueError):
-        bloch_of(np.array([1.0, 1.0]))
+        bloch_vectors(np.array([1.0, 1.0]))
 
 
 def test_bloch_vectors_agrees_with_bloch_of_and_pauli_expectations():
@@ -139,7 +138,8 @@ def test_bloch_vectors_agrees_with_bloch_of_and_pauli_expectations():
     states /= np.linalg.norm(states, axis=-1, keepdims=True)
     points = bloch_vectors(states)
     assert points.shape == (4, 3, 3)
-    assert np.array_equal(points, [[bloch_of(s) for s in row] for row in states])
+    # a stack maps state by state, as one state at a time does
+    assert np.array_equal(points, [[bloch_vectors(s) for s in row] for row in states])
     expectations = [
         np.einsum("...i,ij,...j->...", states.conj(), pauli(axis), states).real
         for axis in "xyz"
@@ -160,8 +160,8 @@ def test_bloch_stays_on_sphere_under_unitaries(seed):
     rng = np.random.default_rng(seed)
     state = rng.normal(size=2) + 1j * rng.normal(size=2)
     state = state / np.linalg.norm(state)
-    point = bloch_of(random_unitary(rng) @ state)
-    assert abs(point.x**2 + point.y**2 + point.z**2 - 1.0) < 1e-10
+    x, y, z = bloch_vectors(random_unitary(rng) @ state)
+    assert abs(x**2 + y**2 + z**2 - 1.0) < 1e-10
 
 
 # --- Cayley-Klein pairs ----------------------------------------------------------
