@@ -51,8 +51,8 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 #: Largest ``verify --steps``. The integrator streams its step factors, so a
-#: verify run peaks at ~2.4 MB whatever the count (tracemalloc, 10^6 and 10^7
-#: steps); the cap bounds its time, 0.25-0.32 s at 10^7 steps (in process,
+#: verify run peaks at ~2.5 MB whatever the count (tracemalloc, 10^6 and 10^7
+#: steps); the cap bounds its time, 0.12-0.15 s at 10^7 steps (in process,
 #: medians of 5 on a 2-core Xeon), not its memory.
 MAX_VERIFY_STEPS = 10_000_000
 #: Largest ``trajectory --samples``. One beta peaks at ~700 B per sample
@@ -383,17 +383,17 @@ def _parse_beta_spec(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError("sweep spec must be 'start:stop:count'")
+            raise ValueError("--beta sweep spec must be 'start:stop:count'")
         start = _number(parts[0], "--beta sweep start")
         stop = _number(parts[1], "--beta sweep stop")
         try:
             count = int(parts[2])
         except ValueError:
-            raise ValueError(f"sweep count must be an integer, got {parts[2]!r}") from None
+            raise ValueError(f"--beta sweep count must be an integer, got {parts[2]!r}") from None
         if count < 1:
-            raise ValueError("sweep count must be >= 1")
+            raise ValueError(f"--beta sweep count must be >= 1, got {count}")
         if count > MAX_SWEEP_BETAS:
-            raise ValueError(f"sweep count must be <= {MAX_SWEEP_BETAS}, got {count}")
+            raise ValueError(f"--beta sweep count must be <= {MAX_SWEEP_BETAS}, got {count}")
         # a non-finite end gives non-finite betas, which fail validation
         with np.errstate(over="ignore", invalid="ignore"):
             return [float(b) for b in np.linspace(start, stop, count)]

@@ -15,14 +15,17 @@ taken. Only the final pair becomes a 2x2 matrix.
 The product is streamed. The steps fall into consecutive blocks of 2^k
 steps, with the smallest k that leaves at most ``_SCAN_BLOCKS`` blocks. The
 factors of a group of about ``_GROUP_STEPS`` steps are built as rows of whole
-blocks and each row is reduced by the tree along its last axis, so only one
-cache-sized group is ever held: a ``verify`` peaks at ~2.4 MB (tracemalloc)
-at 10^6 and at 10^7 steps alike. Inside a row the drive phase factors
-exactly into a row and a column exponential, so a factor costs one complex
-multiply instead of a sin and a cos. The block pairs are the level that one
-tree over all the steps would pass through, each the divided root of its
-row's tree, and the same tree finishes the product over them and divides
-its own root.
+blocks and each row is reduced by the tree along its last axis, every level
+written into one workspace allocated once per call, so only one cache-sized
+group is ever held: a ``verify`` peaks at ~2.5 MB (tracemalloc) at 10^6 and
+at 10^7 steps alike. Inside a row the drive phase factors exactly into a row
+and a column exponential, so a factor costs one complex multiply instead of
+a sin and a cos; ``a`` is the same for every factor, so the first level
+takes it as one complex number. When the rows span several groups, each
+group stops at ``_TOP_PAIRS`` pairs per row and the narrow top levels run
+once over all the rows. The block pairs are the level that one tree over
+all the steps would pass through, each the divided root of its row's tree,
+and the same tree finishes the product over them and divides its own root.
 
 The block pairs also yield the propagated states along the way: a prefix
 scan over them gives the numerical propagator at every block boundary.
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,16 +64,17 @@ UNITARITY_ABORT = 1e-8
 #: of 1024 steps at 10^6 steps), at a cost independent of the step count.
 _SCAN_BLOCKS = 1024
 
-#: Steps whose factors are built and reduced at once: 2^15 pairs (1 MiB of
-#: ``b`` plus the tree's temporaries) stay in a 4 MiB L2 cache. 2^14 to 2^16
-#: measured the same at 10^6 steps, 2^17 slower, and one group of all the
-#: steps slower still.
+#: Steps whose factors are built and reduced at once. The workspace of a
+#: 2^15-step group (512 KiB of ``b``, 768 KiB of level buffers, 256 KiB of
+#: temporary, and up to 512 KiB of stopped rows) stays in L2, and it is
+#: allocated once per call, so its page faults do not grow with the step
+#: count. At 10^6 steps 2^14 and 2^16 measured 11.5 and 13.4 ms against
+#: 10.6 ms (in process, medians of 27), and 2^13 and 2^17 slower still.
 _GROUP_STEPS = 2**15
 
-# One freed 2 MiB mmapped block raises glibc's mmap and trim thresholds above
-# the ~2.2 MB a group's temporaries peak at, so they stay in the heap instead
-# of going back to the kernel and faulting in again for every group.
-np.empty(2**17, dtype=complex)
+#: Pairs per row at or below which a group's tree stops when its set spans
+#: several groups; the rest of the tree runs once over all rows of the set.
+_TOP_PAIRS = 16
 
 #: Nodes at which ``_phase_quadrature`` evaluates the phase integrands.
 _QUADRATURE_NODES = 17
@@ -121,17 +126,18 @@ class EvolutionReport:
 
 def _step_factors(
     p: DriveParams, t_rows: np.ndarray, dt: float, steps: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[complex, np.ndarray, np.ndarray] | None:
     """Exact SU(2) factors exp(-i H(t_mid) dt) for rows of ``steps`` uniform
-    midpoint steps, row i starting at ``t_rows[i]``, as Cayley-Klein pairs of
-    shape (rows, steps): factor (i, m) is [[a, b], [-conj(b), conj(a)]] at
+    midpoint steps, row i starting at ``t_rows[i]``, as (a, rows, columns):
+    factor (i, m) is the Cayley-Klein pair (a, rows[i] columns[m]), that is
+    [[a, b], [-conj(b), conj(a)]] with b = rows[i] columns[m], at
     t_mid = t_rows[i] + (m + 1/2) dt.
 
     Returns None when H vanishes identically (zero Rabi and detuning).
     The field magnitude |(Omega cos, Omega sin, Delta)| is time independent,
-    so the per-step rotation angle is one scalar and ``a`` is the same for
-    every step (a read-only broadcast). Only ``b`` follows the rotating
-    transverse field, and its drive phase factors exactly:
+    so the per-step rotation angle is one scalar and ``a`` is one complex
+    number for every step. Only ``b`` follows the rotating transverse field,
+    and its drive phase factors exactly:
     b = i (sa Omega / field) exp(-i w t_rows[i]) exp(-i w (m + 1/2) dt), one
     small ``exp`` per row and per column and one multiply per factor.
     """
@@ -142,8 +148,78 @@ def _step_factors(
     ca, sa = math.cos(half), math.sin(half)
     rows = (1j * sa * p.omega_rabi / field) * np.exp(-1j * p.omega_drive * t_rows)
     columns = np.exp(-1j * p.omega_drive * ((np.arange(steps) + 0.5) * dt))
-    b = rows[:, None] * columns
-    return np.broadcast_to(complex(ca, sa * p.detuning / field), b.shape), b
+    return complex(ca, sa * p.detuning / field), rows, columns
+
+
+def _level_sizes(rows: int, width: int) -> tuple[int, int, int]:
+    """Entries that a tree over ``rows`` rows of ``width`` pairs needs in
+    each of the two level buffers of ``_tree_levels`` and in its temporary:
+    the first level is the widest written into the first buffer and the
+    temporary, the second level the widest written into the second."""
+    first = width - width // 2
+    return 2 * rows * first, 2 * rows * (first - first // 2), rows * (width // 2)
+
+
+def _pair_level(a, b: np.ndarray, out: np.ndarray | None, tmp: np.ndarray | None):
+    """One level of the pair tree along the last axis: pair j of the level is
+    pair 2j + 1 times pair 2j by the formula of ``pair_mul``, and an odd last
+    pair is carried unchanged into the last slot. Returns the level (a, b).
+
+    The level is written contiguously into the 1-D buffer ``out``, its a
+    before its b, with the 1-D buffer ``tmp`` as scratch; neither may overlap
+    the pairs read. Without buffers the level and its scratch are new arrays,
+    which costs less than making views for the few pairs of a final tree.
+
+    ``a`` is an array shaped like ``b``, or one complex number shared by
+    every pair, as on the first level over ``_step_factors``' rows: then
+    a a - b1 conj(b0) and a b0 + b1 conj(a) take 6 array passes instead of 8.
+    """
+    lead, width = b.shape[:-1], b.shape[-1]
+    n = width // 2
+    shape = (2,) + lead + (width - n,)
+    if out is None:
+        level = np.empty(shape, dtype=complex)
+    else:
+        level = out[: math.prod(shape)].reshape(shape)
+        tmp = tmp[: b.size // width * n].reshape(lead + (n,))
+    la, lb = level[0], level[1]
+    pa, pb = (la[..., :n], lb[..., :n]) if width % 2 else (la, lb)
+    b1, b0 = b[..., 1::2], b[..., : 2 * n : 2]
+    np.conjugate(b0, pa)
+    t = np.multiply(b1, pa, tmp)
+    if isinstance(a, np.ndarray):
+        a1, a0 = a[..., 1::2], a[..., : 2 * n : 2]
+        np.multiply(a1, a0, pb)
+        np.subtract(pb, t, pa)
+        np.conjugate(a0, t)
+        np.multiply(b1, t, pb)
+        np.multiply(a1, b0, t)
+        carry = a[..., -1]
+    else:
+        # a a by numpy's loop, which may fuse multiply and add, so that it
+        # rounds as the array product does; Python's complex multiply does not
+        np.subtract(np.multiply(np.asarray(a), a), t, pa)
+        np.multiply(a, b0, pb)
+        np.multiply(b1, a.conjugate(), t)
+        carry = a
+    np.add(pb, t, pb)
+    if width % 2:
+        la[..., n] = carry
+        lb[..., n] = b[..., -1]
+    return la, lb
+
+
+def _tree_levels(a, b: np.ndarray, stop: int, odd=None, even=None, tmp=None):
+    """Reduce the pairs (a, b) along the last axis by ``_pair_level`` until
+    at most ``stop`` pairs per row remain, writing the odd levels into the
+    1-D buffer ``odd`` and the even ones into ``even`` (see ``_level_sizes``),
+    or into new arrays without buffers; returns the last level, which is
+    (a, b) when ``stop`` is already met."""
+    out, spare = odd, even
+    while b.shape[-1] > stop:
+        a, b = _pair_level(a, b, out, tmp)
+        out, spare = spare, out
+    return a, b
 
 
 def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,49 +227,91 @@ def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     along the last axis by pairwise tree reduction, as pairs of shape
     ``a.shape[:-1]``.
 
-    A later factor multiplies an earlier one by ``pair_mul``; an odd element
-    is carried to the next level unchanged. Any pair is its norm times an
-    SU(2) element, so rounding can only move the norm away from 1 or perturb
-    the rotation. The rounding of 10^6 nearly equal factors is coherent, not a
-    random walk: the norm drifts by ~1e-10 at 10^6 steps, while the rotation
-    stays within the ~2e-12 midpoint error of the exact propagator. The norm
-    of a product is the product of the norms, and rounding is relative to
-    magnitude, so norms of 1 +- N eps inside the tree cannot move the
-    rotation: the root alone is divided by sqrt(|a|^2 + |b|^2).
+    A later factor multiplies an earlier one by ``pair_mul``'s formula; an
+    odd element is carried to the next level unchanged. Any pair is its norm
+    times an SU(2) element, so rounding can only move the norm away from 1 or
+    perturb the rotation. The rounding of 10^6 nearly equal factors is
+    coherent, not a random walk: the norm drifts by ~1e-10 at 10^6 steps,
+    while the rotation stays within the ~2e-12 midpoint error of the exact
+    propagator. The norm of a product is the product of the norms, and
+    rounding is relative to magnitude, so norms of 1 +- N eps inside the tree
+    cannot move the rotation: the root alone is divided by
+    sqrt(|a|^2 + |b|^2).
     """
-    while a.shape[-1] > 1:
-        n_pairs = a.shape[-1] // 2
-        pa, pb = pair_mul(
-            a[..., 1 : 2 * n_pairs : 2],
-            b[..., 1 : 2 * n_pairs : 2],
-            a[..., 0 : 2 * n_pairs : 2],
-            b[..., 0 : 2 * n_pairs : 2],
-        )
-        if a.shape[-1] % 2:
-            pa = np.concatenate([pa, a[..., -1:]], axis=-1)
-            pb = np.concatenate([pb, b[..., -1:]], axis=-1)
-        a, b = pa, pb
+    a, b = _tree_levels(a, b, 1)
     return pair_unit(a[..., 0], b[..., 0])
 
 
+def _top_width(steps: int) -> int:
+    """Pairs per row left when a group's tree over rows of ``steps`` pairs
+    stops at ``_TOP_PAIRS`` or fewer."""
+    while steps > _TOP_PAIRS:
+        steps -= steps // 2
+    return steps
+
+
 def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pair product of every row of ``_step_factors`` over the row sets
-    (t_rows, steps), concatenated in order, or None when H vanishes.
+    """Pair product of every row of ``_step_factors`` over the list of row
+    sets (t_rows, steps), concatenated in order, or None when H vanishes.
 
     A set is built and reduced ``_GROUP_STEPS // steps`` rows at a time (at
-    least one), so only one cache-sized group of factors is ever held.
+    least one), so only one cache-sized group of factors is ever held. The
+    first level takes ``a`` as one complex number. A set of one group is
+    reduced to its roots at once. Otherwise every group stops at
+    ``_TOP_PAIRS`` pairs per row or fewer, and the rest of the tree runs
+    once over all rows of the set, in the same association order. All of
+    it happens in one workspace allocated for all the sets: a group's ``b``,
+    the stopped rows of a set, and the two level buffers and the temporary
+    of ``_tree_levels``.
     """
-    a, b = [], []
+    need = (0, 0, 0, 0, 0)
     for t_rows, steps in row_sets:
-        per_group = max(1, _GROUP_STEPS // steps)
-        for first in range(0, len(t_rows), per_group):
-            factors = _step_factors(p, t_rows[first : first + per_group], dt, steps)
-            if factors is None:
-                return None
-            pa, pb = _pair_product(*factors)
-            a.append(pa)
-            b.append(pb)
-    return np.concatenate(a), np.concatenate(b)
+        if steps == 1:
+            continue
+        n_rows, per_group = len(t_rows), max(1, _GROUP_STEPS // steps)
+        rows = min(n_rows, per_group)
+        need = tuple(map(max, need, (rows * steps, 0, *_level_sizes(rows, steps))))
+        if n_rows > per_group:
+            top = _top_width(steps)
+            need = tuple(map(max, need, (0, 2 * n_rows * top, *_level_sizes(n_rows, top))))
+    # One block rather than five: glibc serves the first from mmap and then
+    # raises its mmap and trim thresholds to the block's size, so later calls
+    # find it in the heap instead of faulting it in again.
+    work = np.empty(sum(need), dtype=complex)
+    ends = accumulate(need)
+    b_work, top_work, odd, even, tmp = (work[end - n : end] for n, end in zip(need, ends))
+    a_sets, b_sets = [], []
+    for t_rows, steps in row_sets:
+        factors = _step_factors(p, t_rows, dt, steps)
+        if factors is None:
+            return None
+        a, rows, columns = factors
+        n_rows, per_group = len(t_rows), max(1, _GROUP_STEPS // steps)
+        if steps == 1:
+            # one exact factor per row: no tree runs, so there is no norm to divide
+            a_sets.append(np.full(n_rows, a))
+            b_sets.append(rows * columns[0])
+            continue
+        if n_rows == 0:
+            continue
+        if n_rows > per_group:
+            top = top_work[: 2 * n_rows * _top_width(steps)].reshape(2, n_rows, -1)
+        for start in range(0, n_rows, per_group):
+            count = min(per_group, n_rows - start)
+            b = b_work[: count * steps].reshape(count, steps)
+            np.multiply(rows[start : start + count, None], columns, b)
+            if n_rows <= per_group:
+                la, lb = _tree_levels(a, b, 1, odd, even, tmp)
+                break
+            la, lb = _tree_levels(a, b, _TOP_PAIRS, odd, even, tmp)
+            top[0, start : start + count] = la
+            top[1, start : start + count] = lb
+        else:  # every group stopped at _TOP_PAIRS: finish all the rows at once
+            la, lb = _tree_levels(top[0], top[1], 1, odd, even, tmp)
+        pa, pb = pair_unit(la[..., 0], lb[..., 0])
+        a_sets.append(pa)
+        b_sets.append(pb)
+    return np.concatenate(a_sets), np.concatenate(b_sets)
 
 
 def _scan_level(p: DriveParams, duration: float, steps: int):
@@ -204,7 +322,8 @@ def _scan_level(p: DriveParams, duration: float, steps: int):
     The full blocks are the rows of one set of ``_row_products`` and a short
     last block is one more row, so the block pairs are the tree level that
     one tree over all the steps would pass through, up to their norms: each
-    is divided by its norm as the root of its row's tree.
+    is divided by its norm as the root of its row's tree, except a block of
+    one step, which is one exact factor.
     """
     size = 1
     while -(-steps // size) > _SCAN_BLOCKS:
@@ -426,9 +545,12 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
 
 def invariant_residual(p: DriveParams, t: float, h: float) -> float:
     """Max-norm defect of the invariant equation dI/dt = -i [H, I], with the
-    time derivative taken by central difference at step h (O(h^2))."""
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    time derivative taken by central difference at step h (O(h^2)). Raises
+    ValueError if ``t`` is not finite or ``h`` is not finite and positive."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
     deriv = (invariant(p, t + h) - invariant(p, t - h)) / (2.0 * h)
     ham = hamiltonian(p, t)
     inv = invariant(p, t)

@@ -531,7 +531,7 @@ def test_trajectory_rejects_sweep_count_above_the_cap(tmp_path, monkeypatch, cap
             capsys, "trajectory", "--beta", f"0:1.5:{count}", "--out", str(tmp_path / "x.csv")
         )
         assert code == 2 and out == ""
-        assert err == f"error: sweep count must be <= {MAX_SWEEP_BETAS}, got {count}\n"
+        assert err == f"error: --beta sweep count must be <= {MAX_SWEEP_BETAS}, got {count}\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -550,8 +550,10 @@ def test_trajectory_rejects_non_finite_sweep_ends(tmp_path, capsys, spec):
         ("a:1:2", "--beta sweep start must be a number, got 'a'"),
         ("0:b:2", "--beta sweep stop must be a number, got 'b'"),
         ("0.1,b", "--beta entry must be a number, got 'b'"),
+        ("0:1", "--beta sweep spec must be 'start:stop:count'"),
+        ("0:1:0", "--beta sweep count must be >= 1, got 0"),
     ],
-    ids=["start", "stop", "entry"],
+    ids=["start", "stop", "entry", "spec", "count"],
 )
 def test_trajectory_names_a_malformed_beta(tmp_path, capsys, spec, message):
     code, out, err = run_cli(capsys, "trajectory", "--beta", spec, "--out", str(tmp_path / "x.csv"))
@@ -588,7 +590,7 @@ def test_trajectory_rejects_a_non_integer_sweep_count(tmp_path, capsys, count):
         capsys, "trajectory", "--beta", f"0:1:{count}", "--out", str(tmp_path / "x.csv")
     )
     assert code == 2 and out == ""
-    assert err == f"error: sweep count must be an integer, got {count!r}\n"
+    assert err == f"error: --beta sweep count must be an integer, got {count!r}\n"
     assert not (tmp_path / "x.csv").exists()
 
 

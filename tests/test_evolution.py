@@ -211,7 +211,8 @@ def test_prefix_scan_of_raw_step_factors_stays_unit_and_exact():
     # every pass must divide the norm out, as the tree does
     p = params_from_beta(HolonomicGate(0.423))
     steps = 100_000
-    a, b = (x[0] for x in evolution._step_factors(p, np.zeros(1), p.period / steps, steps))
+    a, rows, columns = evolution._step_factors(p, np.zeros(1), p.period / steps, steps)
+    a, b = np.full(steps, a), rows[0] * columns
     pa, pb = evolution._prefix_products(a, b)
     assert np.max(np.abs(pa.real**2 + pa.imag**2 + pb.real**2 + pb.imag**2 - 1.0)) <= 2e-15
     expected = midpoint_product(p, np.arange(1, steps + 1), p.period / steps)
@@ -281,17 +282,70 @@ def test_streamed_propagate_samples_match_the_one_shot_product(p, samples, per_s
     assert max_abs(us - expected) <= 4e-15
 
 
+#: (max_blocks, steps) with blocks of at most 64 steps.
+short_blocks = st.integers(1, 64).flatmap(
+    lambda blocks: st.tuples(st.just(blocks), st.integers(1, min(3000, 64 * blocks)))
+)
+
+
+@given(p=any_drives, blocks_steps=short_blocks, group_steps=st.integers(1, 256))
+@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 3000), group_steps=1)  # 46 groups of one row
+@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 3000), group_steps=256)  # groups of 4 rows, the last of 2
+@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 2065), group_steps=100)  # 33 blocks, 17-step last block
+@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 40), group_steps=2)  # rows of one step
+@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 700), group_steps=16)  # groups stopped before a level
+@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(1, 63), group_steps=7)  # no full block
+def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, blocks_steps, group_steps):
+    # Groups of 1-256 steps reach every path of the streamed product at a few
+    # thousand steps: many groups and a short last one, rows stopped at 16
+    # pairs and finished together, odd widths on every level (33 and 17 are
+    # 2^k + 1), rows of one step, and an empty first set when one block holds
+    # all the steps. With the default blocks (at most 4 steps here) the product
+    # and its level meet the one-shot bounds of the test above. Longer blocks
+    # take the rows through the stopped groups and the finishing pass, but
+    # there the one-shot tree, which divides every level, parts from the
+    # streamed one by more than those bounds (4.8e-15 at 64-step blocks on the
+    # corner drive, as with the product that allocated every group's levels),
+    # so one group per set is the reference: the grouping must not move the
+    # product (measured bit-identical over 3,000 random draws).
+    assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
+    max_blocks, steps = blocks_steps
+    (a, b), (size, la, lb) = tree_product(
+        *step_factors(p, 0.0, p.period, steps), max_blocks=evolution._SCAN_BLOCKS
+    )
+    with mock.patch.object(evolution, "_SCAN_BLOCKS", max_blocks):
+        want_level = evolution._scan_level(p, p.period, steps)
+        want_u = propagate(p, p.period, steps)
+    with mock.patch.object(evolution, "_GROUP_STEPS", group_steps):
+        got_size, got_a, got_b = evolution._scan_level(p, p.period, steps)
+        assert max_abs(propagate(p, p.period, steps) - pair_matrix(a, b)) <= 4e-15
+        assert got_size == size and got_a.shape == la.shape
+        assert max(max_abs(got_a - la), max_abs(got_b - lb)) <= 1e-15
+        with mock.patch.object(evolution, "_SCAN_BLOCKS", max_blocks):
+            got_size, got_a, got_b = evolution._scan_level(p, p.period, steps)
+            got_u = propagate(p, p.period, steps)
+    assert got_size == want_level[0] and got_a.shape == want_level[1].shape
+    assert max(max_abs(got_a - want_level[1]), max_abs(got_b - want_level[2])) <= 1e-15
+    assert max_abs(got_u - want_u) <= 1e-15
+
+
 def test_propagate_never_holds_every_step_factor():
-    # the one-shot product peaks at 76 MB here (~76 B per step); streaming a
-    # group of 2^15 steps at a time peaks at ~2.2 MB
+    # the one-shot product peaks at 76 MB at 10^6 steps (~76 B per step); the
+    # streamed one holds one workspace of 2^15 steps, so its peak does not grow
+    # with the step count: measured 2.38 MB at 10^6 and 2.43 MB at 10^7 steps,
+    # where the rows are 16x longer and their column exponential and its
+    # temporaries (~0.5 MB) outweigh the 10^6 set's larger top rows
     p = params_from_beta(HolonomicGate(0.423))
-    tracemalloc.start()
-    try:
-        propagate(p, p.period, 10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    peaks = []
+    for steps in (10**6, 10**7):
+        tracemalloc.start()
+        try:
+            propagate(p, p.period, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8e6
+    assert peaks[1] <= peaks[0] + 1e5
 
 
 # --- exact propagator ----------------------------------------------------------------
@@ -682,3 +736,20 @@ def test_invariant_residual_vanishes_without_rabi_drive():
 def test_invariant_residual_rejects_nonpositive_h():
     with pytest.raises(ValueError):
         invariant_residual(DriveParams(1.0, 0.0, 1.0), 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "t, h, message",
+    [
+        (math.nan, 1e-5, "t must be finite, got nan"),
+        (math.inf, 1e-5, "t must be finite, got inf"),
+        (-math.inf, 1e-5, "t must be finite, got -inf"),
+        (0.5, math.nan, "h must be finite and > 0, got nan"),
+        (0.5, math.inf, "h must be finite and > 0, got inf"),
+    ],
+)
+def test_invariant_residual_rejects_non_finite_arguments(t, h, message):
+    # NaN passed the h <= 0 check and warned from the division; a non-finite
+    # t returned NaN silently or warned from exp
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        invariant_residual(DriveParams(1.0, 0.0, 1.0), t, h)
