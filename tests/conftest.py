@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -23,6 +24,31 @@ def subprocesses_import_this_hologate():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", path)
         yield
+
+
+#: Machine epsilon of float64, the unit of ``rounding_bound``.
+EPS = float(np.finfo(float).eps)
+#: rounding_bound = (ROUNDING_C0 + ROUNDING_C1 phi) EPS.
+ROUNDING_C0 = 12.0
+ROUNDING_C1 = 1.5
+
+
+def rotation_angle(p, duration: float) -> float:
+    """phi = |(Omega, Delta)| duration, the angle the field turns the state
+    through in the frame that co-rotates with the drive."""
+    return math.hypot(p.omega_rabi, p.detuning) * duration
+
+
+def rounding_bound(p, duration: float) -> float:
+    """Largest max-abs gap between two roundings of the midpoint product of
+    drive ``p`` over ``duration``: ``propagate``, its scan level and segment
+    snapshots against the one-shot product and the closed-form oracle.
+
+    The factors' rounding repeats coherently along the product, so the gap
+    grows with the total rotation angle phi, not with the step count.
+    ``tests/rounding_sweep.py`` fits the two constants and checks them.
+    """
+    return (ROUNDING_C0 + ROUNDING_C1 * rotation_angle(p, duration)) * EPS
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:

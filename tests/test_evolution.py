@@ -28,7 +28,7 @@ from hologate import (
 from hologate.cli import TRAJECTORY_PHASE_COEFF, main
 from hologate.su2 import pair_matrix
 
-from conftest import random_drive
+from conftest import random_drive, rounding_bound
 from midpoint_oracle import midpoint_product
 from one_shot_product import step_factors, tree_product
 
@@ -148,6 +148,13 @@ def test_pair_product_matches_sequential_matrix_product(length, seed):
 # --- closed-form midpoint product -----------------------------------------------------
 # midpoint_oracle telescopes the ordered product of the step factors, so it
 # checks the tree and the prefix scan to rounding, not the truncation error.
+# Every comparison of two roundings of one product is bounded by
+# conftest.rounding_bound, which grows with the angle the field turns through;
+# tests/rounding_sweep.py fits and checks it. The drive corner
+# DriveParams(2, 2, 0.5) over a full period turns the most, 35.5 rad.
+
+#: The drive that turns the most over a period in the drive box.
+CORNER = DriveParams(2.0, 2.0, 0.5)
 
 
 def segment_snapshots(p, duration, samples, per_segment):
@@ -163,11 +170,11 @@ def segment_snapshots(p, duration, samples, per_segment):
 @given(p=drives, steps=st.integers(1, 3000), frac=st.floats(0.01, 1.0))
 @example(p=DriveParams(1.0, 1.0, 1.0), steps=1, frac=1.0)  # non-holonomic, one factor
 @example(p=DriveParams(1.0, 1.0, 1.0), steps=999, frac=1.0)  # odd at several levels
+@example(p=CORNER, steps=496, frac=1.0)  # 9.40e-15, 42 eps: the worst step count 1-3000
 def test_propagate_matches_closed_form_midpoint_product(p, steps, frac):
-    # measured <= 2.1e-15 on 9 drives at 1 to 10^6 steps; bound ~5x that
     duration = frac * p.period
     u = propagate(p, duration, steps)
-    assert max_abs(u - midpoint_product(p, steps, duration / steps)) <= 1e-14
+    assert max_abs(u - midpoint_product(p, steps, duration / steps)) <= rounding_bound(p, duration)
 
 
 @pytest.mark.parametrize(
@@ -185,14 +192,13 @@ def test_propagate_matches_closed_form_at_a_million_steps(p, steps):
     # and unitarity defect <= 4.5e-16 at both counts; without the root
     # division the norm alone drifts by ~1e-10 at 10^6 steps
     u = propagate(p, p.period, steps)
-    assert max_abs(u - midpoint_product(p, steps, p.period / steps)) <= 1e-14
+    assert max_abs(u - midpoint_product(p, steps, p.period / steps)) <= rounding_bound(p, p.period)
     assert max_abs(u.conj().T @ u - I2) <= 1e-15
 
 
 @given(p=drives, steps=st.integers(1, 3000), max_blocks=st.integers(1, 64))
 @example(p=DriveParams(1.0, 1.0, 1.0), steps=3001, max_blocks=1024)  # last block 1 step
 def test_prefix_scan_matches_closed_form_at_every_block_boundary(p, steps, max_blocks):
-    # measured <= 2.1e-15 over 6 drives at 5 to 10^6 steps
     with mock.patch.object(evolution, "_SCAN_BLOCKS", max_blocks):
         level = evolution._scan_level(p, p.period, steps)
     assume(level is not None)
@@ -203,7 +209,7 @@ def test_prefix_scan_matches_closed_form_at_every_block_boundary(p, steps, max_b
     ends = np.minimum(size * np.arange(1, a.shape[0] + 1), steps)
     expected = midpoint_product(p, ends, p.period / steps)
     u = pair_matrix(*evolution._prefix_products(a, b))
-    assert max_abs(u - expected) <= 1e-14
+    assert max_abs(u - expected) <= rounding_bound(p, p.period)
 
 
 def test_prefix_scan_of_raw_step_factors_stays_unit_and_exact():
@@ -216,7 +222,7 @@ def test_prefix_scan_of_raw_step_factors_stays_unit_and_exact():
     pa, pb = evolution._prefix_products(a, b)
     assert np.max(np.abs(pa.real**2 + pa.imag**2 + pb.real**2 + pb.imag**2 - 1.0)) <= 2e-15
     expected = midpoint_product(p, np.arange(1, steps + 1), p.period / steps)
-    assert max_abs(pair_matrix(pa, pb) - expected) <= 1e-14
+    assert max_abs(pair_matrix(pa, pb) - expected) <= rounding_bound(p, p.period)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +235,7 @@ def test_propagate_samples_matches_closed_form_midpoint_product(p):
     us = pair_matrix(*segment_snapshots(p, p.period, samples, per_segment))
     dt = p.period / (samples - 1) / per_segment
     expected = midpoint_product(p, per_segment * np.arange(1, samples), dt)
-    assert max_abs(us - expected) <= 1e-14
+    assert max_abs(us - expected) <= rounding_bound(p, p.period)
 
 
 # --- streamed against one-shot product ------------------------------------------------
@@ -249,18 +255,18 @@ any_drives = drives | st.floats(0.02, 1.55).map(lambda beta: params_from_beta(Ho
 @example(p=DriveParams(1.0, 1.0, 1.0), steps=evolution._GROUP_STEPS + 1, frac=1.0)  # 1 full group, 1-step last block
 @example(p=params_from_beta(HolonomicGate(0.423)), steps=100_007, frac=1.0)  # 4 groups, short last block
 @example(p=DriveParams(1.0, 1.0, 1.0), steps=999_999, frac=1.0)  # 31 groups, short last block
+@example(p=CORNER, steps=1236, frac=1.0)  # 4.72e-15, 21 eps: the worst step count 1-3000
+@example(p=CORNER, steps=2159, frac=1.0)  # 4.33e-15
 def test_streamed_propagate_and_scan_level_match_the_one_shot_product(p, steps, frac):
-    # the propagators measured <= 1.1e-15 over 20,000 random drives and
-    # <= 1.7e-15 at every step count 1-3000 at that corner, where 2% exceed
-    # 1e-15; the level pairs measured <= 6.5e-16 on both sets
     assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
     duration = frac * p.period
+    bound = rounding_bound(p, duration)
     factors = step_factors(p, 0.0, duration, steps)
     (a, b), (size, la, lb) = tree_product(*factors, max_blocks=evolution._SCAN_BLOCKS)
-    assert max_abs(propagate(p, duration, steps) - pair_matrix(a, b)) <= 4e-15
+    assert max_abs(propagate(p, duration, steps) - pair_matrix(a, b)) <= bound
     got_size, got_a, got_b = evolution._scan_level(p, duration, steps)
     assert got_size == size and got_a.shape == la.shape
-    assert max(max_abs(got_a - la), max_abs(got_b - lb)) <= 1e-15
+    assert max(max_abs(got_a - la), max_abs(got_b - lb)) <= bound
 
 
 @given(
@@ -271,15 +277,15 @@ def test_streamed_propagate_and_scan_level_match_the_one_shot_product(p, steps, 
 )
 @example(p=DriveParams(1.0, 1.0, 1.0), samples=3, per_segment=evolution._GROUP_STEPS + 1, frac=1.0)  # a group per segment
 @example(p=params_from_beta(HolonomicGate(0.6)), samples=200, per_segment=333, frac=1.0)  # 3 groups of segments
+@example(p=DriveParams(0.0, 2.0, 0.5), samples=37, per_segment=488, frac=1.0)  # 7.74e-15, 35 eps
 def test_streamed_propagate_samples_match_the_one_shot_product(p, samples, per_segment, frac):
-    # measured <= 1.65e-15 at the corner of the drive range, over 4,500 grids
     assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
     duration = frac * p.period
     us = pair_matrix(*segment_snapshots(p, duration, samples, per_segment))
     t0 = np.linspace(0.0, duration, samples)[:-1, None]
     a, b = tree_product(*step_factors(p, t0, duration / (samples - 1), per_segment))
     expected = pair_matrix(*evolution._prefix_products(a, b))
-    assert max_abs(us - expected) <= 4e-15
+    assert max_abs(us - expected) <= rounding_bound(p, duration)
 
 
 #: (max_blocks, steps) with blocks of at most 64 steps.
@@ -295,21 +301,23 @@ short_blocks = st.integers(1, 64).flatmap(
 @example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 40), group_steps=2)  # rows of one step
 @example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 700), group_steps=16)  # groups stopped before a level
 @example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(1, 63), group_steps=7)  # no full block
+@example(p=CORNER, blocks_steps=(64, 1236), group_steps=256)  # 4.72e-15 from the one-shot product
 def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, blocks_steps, group_steps):
     # Groups of 1-256 steps reach every path of the streamed product at a few
     # thousand steps: many groups and a short last one, rows stopped at 16
     # pairs and finished together, odd widths on every level (33 and 17 are
     # 2^k + 1), rows of one step, and an empty first set when one block holds
     # all the steps. With the default blocks (at most 4 steps here) the product
-    # and its level meet the one-shot bounds of the test above. Longer blocks
+    # and its level meet the one-shot bound of the test above. Longer blocks
     # take the rows through the stopped groups and the finishing pass, but
     # there the one-shot tree, which divides every level, parts from the
-    # streamed one by more than those bounds (4.8e-15 at 64-step blocks on the
+    # streamed one by more than that bound (4.8e-15 at 64-step blocks on the
     # corner drive, as with the product that allocated every group's levels),
     # so one group per set is the reference: the grouping must not move the
     # product (measured bit-identical over 3,000 random draws).
     assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
     max_blocks, steps = blocks_steps
+    bound = rounding_bound(p, p.period)
     (a, b), (size, la, lb) = tree_product(
         *step_factors(p, 0.0, p.period, steps), max_blocks=evolution._SCAN_BLOCKS
     )
@@ -318,9 +326,9 @@ def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, block
         want_u = propagate(p, p.period, steps)
     with mock.patch.object(evolution, "_GROUP_STEPS", group_steps):
         got_size, got_a, got_b = evolution._scan_level(p, p.period, steps)
-        assert max_abs(propagate(p, p.period, steps) - pair_matrix(a, b)) <= 4e-15
+        assert max_abs(propagate(p, p.period, steps) - pair_matrix(a, b)) <= bound
         assert got_size == size and got_a.shape == la.shape
-        assert max(max_abs(got_a - la), max_abs(got_b - lb)) <= 1e-15
+        assert max(max_abs(got_a - la), max_abs(got_b - lb)) <= bound
         with mock.patch.object(evolution, "_SCAN_BLOCKS", max_blocks):
             got_size, got_a, got_b = evolution._scan_level(p, p.period, steps)
             got_u = propagate(p, p.period, steps)
