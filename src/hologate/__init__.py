@@ -41,7 +41,6 @@ from .su2 import (
 )
 from .synthesis import (
     CatalogEntry,
-    OptimizerConfig,
     PulseSequence,
     SynthesisResult,
     TargetGate,
@@ -51,7 +50,6 @@ from .synthesis import (
     refine,
     standard_target,
     synthesize,
-    synthesize_shortest,
 )
 
 __version__ = "0.1.0"
@@ -65,7 +63,6 @@ __all__ = [
     "FidelityReport",
     "HolonomicGate",
     "InvariantEigensystem",
-    "OptimizerConfig",
     "PulseSequence",
     "SynthesisResult",
     "TargetGate",
@@ -94,5 +91,4 @@ __all__ = [
     "standard_target",
     "su2_exp",
     "synthesize",
-    "synthesize_shortest",
 ]

@@ -35,7 +35,7 @@ from .evolution import (
 )
 from .su2 import bloch_vectors, fidelity, max_abs
 from .synthesis import (
-    OptimizerConfig,
+    TOLERANCE,
     TargetGate,
     catalog,
     compose,
@@ -71,8 +71,8 @@ MAX_SYNTH_LENGTH = 10_000
 #: 10^4, 10^5 and 10^6 steps (0.0589 also on 1001 beta over [0, pi/2]).
 TRAJECTORY_PHASE_COEFF = 0.07
 #: Every constant check bound, by check name; a check passes when its measured
-#: value is <= its bound. ``trajectory_dynamical_phase`` (TRAJECTORY_PHASE_COEFF)
-#: and ``converged`` (OptimizerConfig.tolerance) scale with their inputs.
+#: value is <= its bound. Only ``trajectory_dynamical_phase``
+#: (TRAJECTORY_PHASE_COEFF) scales with its inputs.
 CHECK_BOUNDS = {
     # verify
     "unitarity": 1e-10,  # max |U^dag U - I|
@@ -88,6 +88,8 @@ CHECK_BOUNDS = {
     # catalog, per row
     "reproduction": 1e-5,  # 1 - composed fidelity
     "refinement": 1e-10,  # claimed - refined fidelity
+    # synth
+    "converged": TOLERANCE,  # 1 - fidelity magnitude
     # trajectory
     "on_sphere": 1e-10,  # max |x^2 + y^2 + z^2 - 1|
 }
@@ -325,8 +327,7 @@ def _cmd_synth(args) -> tuple[RunReport, int]:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     target = _resolve_target(args.target)
-    config = OptimizerConfig(restarts=args.restarts)
-    result = synthesize(target, args.length, config, rng_seed=args.seed)
+    result = synthesize(target, args.length, args.restarts, rng_seed=args.seed)
 
     report = RunReport(
         "synth",
@@ -343,7 +344,7 @@ def _cmd_synth(args) -> tuple[RunReport, int]:
     report.values["evaluations"] = result.evaluations
     report.values["restarts_used"] = result.restarts_used
     report.values["converged"] = result.converged
-    report.check("converged", 1.0 - result.fidelity.magnitude, config.tolerance)
+    report.check("converged", 1.0 - result.fidelity.magnitude, CHECK_BOUNDS["converged"])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(_synthesis_record(target, args.length, args.seed, result)) + "\n")
@@ -353,13 +354,12 @@ def _cmd_synth(args) -> tuple[RunReport, int]:
 
 def _cmd_catalog(args) -> tuple[RunReport, int]:
     report = RunReport("catalog")
-    config = OptimizerConfig()
     deviation_magnitude = 0.0
     deviation_phase = 0.0
     for entry in catalog():
         name = entry.target.name
         fid = fidelity(compose(entry.sequence), entry.target.matrix)
-        refined = refine(entry.target, entry.sequence.betas, config)
+        refined = refine(entry.target, entry.sequence.betas)
         report.values[f"{name}_betas"] = ";".join(f"{b:g}" for b in entry.sequence.betas)
         report.values[f"{name}_claimed"] = entry.claimed_fidelity
         report.values[f"{name}_composed"] = fid.magnitude
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--length", type=int, required=True, help=f"pulses, 1 to {MAX_SYNTH_LENGTH}"
     )
-    p_synth.add_argument("--restarts", type=int, default=100)
+    p_synth.add_argument("--restarts", type=int, default=100, help="random starts drawn, >= 1")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", help="write the synthesis record to this file")
     p_synth.add_argument("--machine", action="store_true")

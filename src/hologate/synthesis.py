@@ -24,10 +24,8 @@ from .su2 import UNITARY_TOL, FidelityReport, fidelity, is_unitary, max_abs, pai
 _HALF_PI = math.pi / 2
 _I2 = np.eye(2, dtype=complex)
 
-#: Optimizer solutions within this distance of a bound snap to the exact bound
-#: when that does not worsen the objective. The window is wide because the
-#: objective can be quartically flat at the bounds (e.g. identity-like pulses).
-_BOUND_SNAP = 1e-3
+#: Infidelity 1 - |tr(U^dag T)| / 2 at which the search counts as converged.
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,20 +60,6 @@ class TargetGate:
         if not is_unitary(m):
             raise ValueError(f"target matrix must be unitary within {UNITARY_TOL:g}")
         object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings for the multi-start least-squares search."""
-
-    restarts: int = 100
-    tolerance: float = 1e-9  # infidelity at which the search counts as converged
-
-    def __post_init__(self):
-        if not self.restarts >= 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -210,20 +194,16 @@ def _residual(x: np.ndarray, target_pair: np.ndarray) -> tuple[np.ndarray, np.nd
     return r, jac, 0.5 * np.einsum("si,si->s", r, r)
 
 
-def _infidelity(x: np.ndarray, target_pair: np.ndarray) -> np.ndarray:
-    return _residual(x, target_pair)[2]
-
-
-def _descend(x: np.ndarray, target_pair: np.ndarray, tolerance: float):
+def _descend(x: np.ndarray, target_pair: np.ndarray):
     """Levenberg-Marquardt on every row of ``x`` (starts, N) in lockstep. Stops
-    once the first start within ``tolerance`` is within tolerance**2 (one or
-    two steps later, by quadratic convergence), or after _MAX_ITERATIONS.
+    once the first start within TOLERANCE is within TOLERANCE**2 (one or two
+    steps later, by quadratic convergence), or after _MAX_ITERATIONS.
     Returns the coordinates, each start's infidelity and the iteration count."""
     r, jac, infidelity = _residual(x, target_pair)
     damping = np.full(len(x), 1e-2)
     for iterations in range(_MAX_ITERATIONS + 1):
-        hits = np.flatnonzero(infidelity <= tolerance)
-        if iterations == _MAX_ITERATIONS or (hits.size and infidelity[hits[0]] <= tolerance**2):
+        hits = np.flatnonzero(infidelity <= TOLERANCE)
+        if iterations == _MAX_ITERATIONS or (hits.size and infidelity[hits[0]] <= TOLERANCE**2):
             break
         # minimum-norm damped Gauss-Newton step -J^T (J J^T + damping I)^-1 r
         normal = np.einsum("sni,snj->sij", jac, jac) + damping[:, None, None] * np.eye(4)
@@ -238,33 +218,9 @@ def _descend(x: np.ndarray, target_pair: np.ndarray, tolerance: float):
     return x, infidelity, iterations
 
 
-def _snap_to_bounds(betas: np.ndarray, target_pair: np.ndarray) -> np.ndarray:
-    """Snap near-boundary solutions to the exact bound when not worse.
-
-    A pulse at exactly pi/2 (identity) then flips to 0 (minus identity) when
-    that is not worse either; the two differ only by a global sign of the
-    product, so under the magnitude objective the lower angle is the convention.
-    """
-
-    def objective(b: np.ndarray) -> float:
-        return _infidelity(b[None], target_pair)[0]
-
-    snapped = np.where(betas < _BOUND_SNAP, 0.0, betas)
-    snapped = np.where(snapped > _HALF_PI - _BOUND_SNAP, _HALF_PI, snapped)
-    if not np.array_equal(snapped, betas) and objective(snapped) <= objective(betas):
-        betas = snapped
-    for i in range(betas.size):
-        if betas[i] == _HALF_PI:
-            flipped = betas.copy()
-            flipped[i] = 0.0
-            if objective(flipped) <= objective(betas):
-                betas = flipped
-    return betas
-
-
-def _finish(target, x, target_pair, cfg, evaluations, restarts_used) -> SynthesisResult:
-    """Fold and snap the winning coordinates, then score them on the 2x2 product."""
-    seq = PulseSequence(tuple(_snap_to_bounds(_fold(x)[0], target_pair)))
+def _finish(target, x, evaluations, restarts_used) -> SynthesisResult:
+    """Fold the winning coordinates, then score them on the 2x2 product."""
+    seq = PulseSequence(tuple(_fold(x)[0]))
     report = fidelity(compose(seq), target.matrix)
     # products of exact unitaries can overshoot 1 by rounding; clamp the report
     report = FidelityReport(
@@ -272,67 +228,46 @@ def _finish(target, x, target_pair, cfg, evaluations, restarts_used) -> Synthesi
         phase_sensitive=min(max(report.phase_sensitive, -1.0), 1.0),
         relative_phase=report.relative_phase,
     )
-    converged = (1.0 - report.magnitude) <= cfg.tolerance
+    converged = (1.0 - report.magnitude) <= TOLERANCE
     return SynthesisResult(seq, report, evaluations, restarts_used, converged)
 
 
 def synthesize(
     target: TargetGate,
     length: int,
-    config: OptimizerConfig | None = None,
+    restarts: int = 100,
     rng_seed: int = 0,
 ) -> SynthesisResult:
     """Search for a pulse sequence of the given length maximizing fidelity to
-    ``target``. Deterministic for a fixed seed and config; the search stops at
-    the first start (in draw order) that reaches the configured tolerance."""
+    ``target`` from ``restarts`` random starts. Deterministic for a fixed
+    seed; the search stops at the first start (in draw order) that reaches
+    TOLERANCE."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    cfg = config or OptimizerConfig()
+    if not restarts >= 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     target_pair = _target_pair(target.matrix)
     rng = np.random.default_rng(rng_seed)
     best_infidelity, best_x = math.inf, None
-    evaluations, restarts_used = 0, cfg.restarts
-    for first in range(0, cfg.restarts, _CHUNK):
-        starts = rng.uniform(0.0, _HALF_PI, (min(_CHUNK, cfg.restarts - first), length))
-        x, infidelity, iterations = _descend(starts, target_pair, cfg.tolerance)
+    evaluations, restarts_used = 0, restarts
+    for first in range(0, restarts, _CHUNK):
+        starts = rng.uniform(0.0, _HALF_PI, (min(_CHUNK, restarts - first), length))
+        x, infidelity, iterations = _descend(starts, target_pair)
         evaluations += iterations * len(x)
-        hits = np.flatnonzero(infidelity <= cfg.tolerance)
+        hits = np.flatnonzero(infidelity <= TOLERANCE)
         k = hits[0] if hits.size else int(np.argmin(infidelity))
         if infidelity[k] < best_infidelity:
             best_infidelity, best_x = infidelity[k], x[k]
         if hits.size:
             restarts_used = first + int(k) + 1
             break
-    return _finish(target, best_x, target_pair, cfg, evaluations, restarts_used)
+    return _finish(target, best_x, evaluations, restarts_used)
 
 
-def refine(target: TargetGate, betas, config: OptimizerConfig | None = None) -> SynthesisResult:
+def refine(target: TargetGate, betas) -> SynthesisResult:
     """Local search seeded at an existing sequence (no random restarts)."""
-    cfg = config or OptimizerConfig()
     x0 = np.asarray([float(b) for b in betas])
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("betas must be a nonempty 1-d sequence")
-    target_pair = _target_pair(target.matrix)
-    x, _, iterations = _descend(x0[None], target_pair, cfg.tolerance)
-    return _finish(target, x[0], target_pair, cfg, iterations, 0)
-
-
-def synthesize_shortest(
-    target: TargetGate,
-    max_length: int,
-    config: OptimizerConfig | None = None,
-    rng_seed: int = 0,
-) -> SynthesisResult:
-    """Try lengths 1..max_length and return the shortest converged result, or
-    the best non-converged one if none converges."""
-    if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
-    cfg = config or OptimizerConfig()
-    best: SynthesisResult | None = None
-    for length in range(1, max_length + 1):
-        result = synthesize(target, length, cfg, rng_seed)
-        if result.converged:
-            return result
-        if best is None or result.fidelity.magnitude > best.fidelity.magnitude:
-            best = result
-    return best
+    x, _, iterations = _descend(x0[None], _target_pair(target.matrix))
+    return _finish(target, x[0], iterations, 0)

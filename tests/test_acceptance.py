@@ -12,7 +12,6 @@ import numpy as np
 from hologate import (
     DriveParams,
     HolonomicGate,
-    OptimizerConfig,
     PulseSequence,
     analytic_gate,
     catalog,
@@ -194,12 +193,11 @@ def test_criterion_6_spectral_propagator():
 
 def test_criterion_7_fresh_synthesis():
     cases = [("NOT", 4), ("Hadamard", 7), ("Phase", 4), ("T", 3)]
-    config = OptimizerConfig(restarts=200)
     details = []
     passed = True
     for name, length in cases:
         start = time.perf_counter()
-        result = synthesize(standard_target(name), length, config, rng_seed=20260809)
+        result = synthesize(standard_target(name), length, 200, rng_seed=20260809)
         elapsed = time.perf_counter() - start
         infidelity = 1.0 - result.fidelity.magnitude
         ok = (

@@ -119,6 +119,7 @@ def test_check_bounds_are_pinned():
         "analytic_agreement": 1e-6,
         "reproduction": 1e-5,
         "refinement": 1e-10,
+        "converged": 1e-9,
         "on_sphere": 1e-10,
     }
 
@@ -363,6 +364,19 @@ def test_synth_matrix_file_target(tmp_path, capsys):
     values = parse_machine(out)
     assert values["target"] == "custom"
     assert float(values["infidelity_magnitude"]) <= 1e-9
+
+
+def test_synth_identity_matrix_file_converges_at_length_one(tmp_path, capsys):
+    # U(0) = -I matches I up to the global sign the magnitude ignores
+    matrix_file = tmp_path / "identity.mat"
+    matrix_file.write_text("1 0\n0 1\n")
+    code, out, _ = run_cli(
+        capsys, "synth", "--target", str(matrix_file), "--length", "1", "--machine"
+    )
+    assert code == 0
+    values = parse_machine(out)
+    assert values["converged"] == "true"
+    assert abs(float(values["betas"])) <= 1e-9
 
 
 def test_synth_rejects_non_unitary_matrix_file(tmp_path, capsys):
