@@ -306,19 +306,23 @@ def _resolve_target(text: str) -> TargetGate:
     return TargetGate(matrix, name="custom")
 
 
-def _synthesis_record(target: TargetGate, length: int, seed: int, result) -> list[str]:
-    fid = result.fidelity
-    return [
-        f"target={target.name}",
-        f"length={length}",
-        "betas=" + ";".join(f"{b:.17g}" for b in result.sequence.betas),
-        f"infidelity_magnitude={1.0 - fid.magnitude:.17g}",
-        f"infidelity_phase_sensitive={1.0 - fid.phase_sensitive:.17g}",
-        f"evaluations={result.evaluations}",
-        f"restarts_used={result.restarts_used}",
-        f"seed={seed}",
-        f"converged={'true' if result.converged else 'false'}",
-    ]
+#: The ``synth --out`` record: these params and values of the run, in order.
+_RECORD_KEYS = (
+    "target",
+    "length",
+    "betas",
+    "infidelity_magnitude",
+    "infidelity_phase_sensitive",
+    "evaluations",
+    "restarts_used",
+    "seed",
+    "converged",
+)
+
+
+def _synthesis_record(report: RunReport) -> str:
+    fields = {**report.params, **report.values}
+    return "".join(f"{key}={_fmt(fields[key])}\n" for key in _RECORD_KEYS)
 
 
 def _cmd_synth(args) -> tuple[RunReport, int]:
@@ -347,7 +351,7 @@ def _cmd_synth(args) -> tuple[RunReport, int]:
     report.check("converged", 1.0 - result.fidelity.magnitude, CHECK_BOUNDS["converged"])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(_synthesis_record(target, args.length, args.seed, result)) + "\n")
+            fh.write(_synthesis_record(report))
         report.values["out"] = args.out
     return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
