@@ -11,6 +11,7 @@ error, 3 I/O error, 4 internal error (an unexpected exception such as
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -464,7 +465,11 @@ def _cmd_trajectory(args) -> tuple[RunReport, int]:
 # --- entry point -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: every ``main``
+    call parses with it, so callers must not modify it. Parsing keeps no
+    state in the parser; each call fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="hologate",
         description="Holonomic one-qubit gates: inspect, verify, synthesize, export.",
@@ -526,6 +531,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; callable any number of times
+    in one process. An argv that argparse rejects raises SystemExit(2)."""
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:

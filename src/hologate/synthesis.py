@@ -23,6 +23,7 @@ from .su2 import UNITARY_TOL, FidelityReport, fidelity, is_unitary, max_abs, pai
 
 _HALF_PI = math.pi / 2
 _I2 = np.eye(2, dtype=complex)
+_I4 = np.eye(4)
 
 #: Infidelity 1 - |tr(U^dag T)| / 2 at which the search counts as converged.
 TOLERANCE = 1e-9
@@ -206,12 +207,15 @@ def _descend(x: np.ndarray, target_pair: np.ndarray):
         if iterations == _MAX_ITERATIONS or (hits.size and infidelity[hits[0]] <= TOLERANCE**2):
             break
         # minimum-norm damped Gauss-Newton step -J^T (J J^T + damping I)^-1 r
-        normal = np.einsum("sni,snj->sij", jac, jac) + damping[:, None, None] * np.eye(4)
+        normal = np.einsum("sni,snj->sij", jac, jac) + damping[:, None, None] * _I4
         trial_x = x - np.einsum("sni,si->sn", jac, np.linalg.solve(normal, r[..., None])[..., 0])
-        trial = _residual(trial_x, target_pair)
-        better = trial[2] < infidelity
-        x[better] = trial_x[better]
-        r[better], jac[better], infidelity[better] = (t[better] for t in trial)
+        trial_r, trial_jac, trial_infidelity = _residual(trial_x, target_pair)
+        better = trial_infidelity < infidelity
+        # accept in place: each row keeps its state or takes the trial's
+        np.copyto(x, trial_x, where=better[:, None])
+        np.copyto(r, trial_r, where=better[:, None])
+        np.copyto(jac, trial_jac, where=better[:, None, None])
+        np.copyto(infidelity, trial_infidelity, where=better)
         # J J^T has rank <= 3 (dq is tangent to the unit sphere at q), so the
         # floor keeps the 4x4 system invertible
         damping = np.where(better, np.maximum(damping / 3, 1e-12), damping * 4)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hologate.cli as cli
 import hologate.evolution as evolution
 from hologate import (
     DriveParams,
@@ -791,6 +793,76 @@ def test_cli_fuzz_exits_with_a_known_code_and_no_traceback(fuzz_dir, data):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_repeated_main_calls_share_one_parser_and_leak_no_options(tmp_path, monkeypatch, capsys):
+    # main parses every argv with one cached parser; each handler must still
+    # get exactly what a freshly built parser makes of its argv
+    record = str(tmp_path / "rec.txt")
+    calls = [
+        ["synth", "--target", "NOT", "--length", "4", "--seed", "5", "--restarts", "3", "--out", record],
+        ["synth", "--target", "NOT", "--length", "4", "--machine"],
+        ["verify", "--drive", "1,1", "--steps", "16"],
+        ["verify", "--beta", "0.3", "--steps", "16", "--machine"],
+        ["gate", "--beta", "0.3", "--bogus"],
+        ["gate", "--beta", "0.3"],
+    ]
+    fresh = cli.build_parser.__wrapped__()
+    expected = [vars(fresh.parse_args(argv)) for argv in calls if "--bogus" not in argv]
+    main(["gate", "--beta", "0.3"])  # builds the shared parser if no earlier call did
+    capsys.readouterr()
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    seen = []
+
+    def recording(handler):
+        def handle(args):
+            seen.append(dict(vars(args)))
+            return handler(args)
+
+        return handle
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name, handler in list(cli._HANDLERS.items()):
+        monkeypatch.setitem(cli._HANDLERS, name, recording(handler))
+
+    outputs = []
+    for argv in calls:
+        if "--bogus" in argv:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            capsys.readouterr()
+            continue
+        code, out, _ = run_cli(capsys, *argv)
+        outputs.append((code, out))
+
+    assert built == []
+    assert seen == expected
+    assert (tmp_path / "rec.txt").is_file()
+    synth = parse_machine(outputs[1][1])
+    assert (outputs[1][0], synth["seed"], synth["restarts"]) == (0, "0", "100")
+    assert "out" not in synth
+    assert outputs[2][0] == 1  # the non-holonomic drive fails its holonomy checks
+    verify = parse_machine(outputs[3][1])
+    assert verify["beta"] == "0.29999999999999999" and "drive" not in verify
+    assert outputs[4][0] == 0
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import hologate.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
 
 
 # --- console entry point --------------------------------------------------------

@@ -185,13 +185,31 @@ def test_synthesize_not_gate_at_length_four():
     assert result.restarts_used <= 200
 
 
-def test_synthesize_hadamard_seven_pulses_does_the_pinned_work():
+#: (restarts_used, evaluations) of `synth --target NAME --length N --seed S`
+#: at the default 100 restarts: the argv of the benchmark's `search` workload.
+#: Every search converges.
+SEARCH_POOL_WORK = {
+    ("NOT", 4): [(8, 600), (2, 600), (3, 500), (5, 500), (4, 700), (26, 600), (8, 600), (9, 400)],
+    ("Phase", 4): [(4, 700), (2, 600), (9, 700), (9, 500), (5, 600), (6, 700), (3, 500), (2, 600)],
+    ("T", 3): [(5, 400), (29, 400), (66, 400), (2, 600), (3, 500), (3, 900), (1, 500), (4, 600)],
+    ("Hadamard", 7): [(82, 600)],
+}
+
+
+def test_synthesize_does_the_pinned_work_on_the_search_pool():
     # the work of this search is a contract: a change that moves a start's
     # path at rounding level shows up here before it shows up in the benchmark
-    result = synthesize(standard_target("Hadamard"), 7, rng_seed=0)
-    assert result.converged
-    assert result.restarts_used == 82
-    assert result.evaluations == 600
+    work = {
+        (name, length): [
+            synthesize(standard_target(name), length, rng_seed=seed)
+            for seed in range(len(expected))
+        ]
+        for (name, length), expected in SEARCH_POOL_WORK.items()
+    }
+    assert all(r.converged for results in work.values() for r in results)
+    assert {
+        key: [(r.restarts_used, r.evaluations) for r in results] for key, results in work.items()
+    } == SEARCH_POOL_WORK
 
 
 def test_synthesize_is_deterministic():
