@@ -64,8 +64,8 @@ MAX_TRAJECTORY_SAMPLES = 1_000_000
 #: is built before the file is opened, ~184 B per beta (tracemalloc, 10^5
 #: betas), so the cap bounds that list at ~0.2 GB.
 MAX_SWEEP_BETAS = 1_000_000
-#: Largest ``synth --length``. A batch of 128 starts peaks at ~39 kB per pulse
-#: (tracemalloc, lengths 200 and 400), so the cap bounds the search at ~0.4 GB.
+#: Largest ``synth --length``. A batch of 128 starts peaks at ~41 kB per pulse
+#: (tracemalloc, lengths 200 to 2,000), so the cap bounds the search at ~0.4 GB.
 MAX_SYNTH_LENGTH = 10_000
 #: C in the trajectory_dynamical_phase bound C (T / steps)^2. Over 52 beta in
 #: [0.02, 1.55], max |gamma_traj| (steps / T)^2 measured 0.0589 at 16, 10^3,

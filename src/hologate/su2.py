@@ -107,9 +107,14 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(np.asarray(m))))
 
 
-def pair_mul(a1, b1, a2, b2):
-    """Cayley-Klein pair of [[a1, b1], ...] @ [[a2, b2], ...], elementwise."""
-    return a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()
+def pair_mul(a1, b1, a2, b2, out=(None, None)):
+    """Cayley-Klein pair of [[a1, b1], ...] @ [[a2, b2], ...], elementwise.
+    With ``out``, the pair is written into those two arrays, which must not
+    overlap the operands."""
+    return (
+        np.subtract(a1 * a2, b1 * b2.conj(), out=out[0]),
+        np.add(a1 * b2, b1 * a2.conj(), out=out[1]),
+    )
 
 
 def pair_unit(a, b):

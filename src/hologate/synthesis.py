@@ -4,10 +4,14 @@ unitaries, and search for pulse sequences that hit a target gate.
 The search tracks the composed product as its Cayley-Klein pair (a, b), read
 as a real 4-vector, and drives the residual (a, b) - s (a_t, b_t) to zero with
 Levenberg-Marquardt steps, every random start advancing in lockstep in one
-numpy batch. The Jacobian is exact: the product rule over prefix and suffix
-products of the pulse pairs (``su2.pair_mul``), i.e. the GRAPE gradient
-(Khaneja et al., J. Magn. Reson. 172, 296 (2005)). Coordinates are
-unconstrained and folded into [0, pi/2] by reflection at the bounds.
+numpy batch with the starts on the last axis. Once a start is within
+TOLERANCE, the starts drawn after it leave the batch: only the first hit in
+draw order decides the result, and a start's infidelity never rises, so the
+rest of the batch runs as if they were still there. The Jacobian is exact:
+the product rule over prefix and suffix products of the pulse pairs
+(``su2.pair_mul``), i.e. the GRAPE gradient (Khaneja et al., J. Magn. Reson.
+172, 296 (2005)). Coordinates are unconstrained and folded into [0, pi/2] by
+reflection at the bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .su2 import UNITARY_TOL, FidelityReport, fidelity, is_unitary, max_abs, pai
 
 _HALF_PI = math.pi / 2
 _I2 = np.eye(2, dtype=complex)
-_I4 = np.eye(4)
 
 #: Infidelity 1 - |tr(U^dag T)| / 2 at which the search counts as converged.
 TOLERANCE = 1e-9
@@ -141,13 +144,16 @@ def noncommutativity_witness(b1: float, b2: float) -> float:
 
 
 # --- pair search -----------------------------------------------------------
-# Pairs are read as real 4-vectors (Re a, Im a, Re b, Im b) on an array's last
-# axis, with one start per row.
+# Every array of the search keeps its starts on the last axis: coordinates
+# (N, starts), pairs (..., starts), and a pair read as the real 4-vector
+# (Re a, Im a, Re b, Im b) on the axis before the starts.
 
 #: Starts advanced in one lockstep batch; bounds memory for large restart counts.
 _CHUNK = 128
 #: Levenberg-Marquardt iterations per batch.
 _MAX_ITERATIONS = 60
+#: Pulses whose J J^T terms are formed at once.
+_BLOCK = 16
 
 
 def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,69 +163,124 @@ def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(flip, math.pi - r, r), np.where(flip, -1.0, 1.0)
 
 
-def _real(a, b) -> np.ndarray:
-    """The pairs (a, b) as real 4-vectors on a new last axis."""
-    return np.stack((a, b), axis=-1).view(float)
+def _real(pair: np.ndarray) -> np.ndarray:
+    """The pairs (pair[0], pair[1]), shape (2, ..., starts), as real 4-vectors
+    (Re a, Im a, Re b, Im b) on a new axis before the starts."""
+    *rest, starts = pair.shape[1:]
+    out = np.empty((*rest, 2, 2, starts))
+    # out[..., j, part, s] is part (Re, Im) of pair[j, ..., s]
+    k = len(rest)
+    np.copyto(out.transpose(k, *range(k), k + 2, k + 1), pair.view(float).reshape(*pair.shape, 2))
+    return out.reshape(*rest, 4, starts)
+
+
+def _dot4(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum over the 4-vector axis of u * v, added as numpy's einsum and matmul
+    add four terms: (0 + 2) + (1 + 3)."""
+    p = u * v
+    return (p[..., 0, :] + p[..., 2, :]) + (p[..., 1, :] + p[..., 3, :])
 
 
 def _target_pair(m: np.ndarray) -> np.ndarray:
-    """Unit pair of m / sqrt(det m) as a 4-vector; the residual absorbs its sign."""
-    return _real(*pair_of(m))
+    """Unit pair of m / sqrt(det m) as a (4, 1) column; the residual absorbs its sign."""
+    return _real(np.array(pair_of(m))[:, None])
 
 
 def _jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The composed pair q for each row of ``x`` (starts, N), and
-    dq/dx_k = (g_{N-1} .. g_{k+1}) dg_k/dx_k (g_{k-1} .. g_0), shape (starts, N, 4)."""
+    """The composed pair q of each column of ``x`` (N, starts), shape (4, starts),
+    and dq/dx_k = (g_{N-1} .. g_{k+1}) dg_k/dx_k (g_{k-1} .. g_0), shape (N, 4, starts)."""
     beta, dbeta = _fold(x)
     s, c = np.sin(beta), np.cos(beta)
-    sp, cp = np.sin(math.pi * s), np.cos(math.pi * s)
-    ga, gb = -cp - 1j * s * sp, 1j * c * sp
-    da = dbeta * (math.pi * c * sp - 1j * c * (sp + math.pi * s * cp))
-    db = dbeta * 1j * (math.pi * c * c * cp - s * sp)
-    pa, pb = np.ones((len(x), x.shape[1] + 1), complex), np.zeros((len(x), x.shape[1] + 1), complex)
-    sa, sb = np.ones_like(ga), np.zeros_like(gb)
-    for k in range(x.shape[1]):
-        pa[:, k + 1], pb[:, k + 1] = pair_mul(ga[:, k], gb[:, k], pa[:, k], pb[:, k])
-    for k in range(x.shape[1] - 1, 0, -1):
-        sa[:, k - 1], sb[:, k - 1] = pair_mul(sa[:, k], sb[:, k], ga[:, k], gb[:, k])
-    dq = pair_mul(sa, sb, *pair_mul(da, db, pa[:, :-1], pb[:, :-1]))
-    return _real(pa[:, -1], pb[:, -1]), _real(*dq)
+    pi_s, pi_c = math.pi * s, math.pi * c
+    sp, cp = np.sin(pi_s), np.cos(pi_s)
+    s_sp = s * sp
+    # the pulse g = (-cos(pi s) - i s sin(pi s), i c sin(pi s)) and dg/dx,
+    # written part by part (the real parts of gb and db are 0)
+    g = np.zeros((4,) + x.shape, complex)
+    ga, gb, da, db = g
+    np.negative(cp, out=ga.real)
+    np.negative(s_sp, out=ga.imag)
+    np.multiply(c, sp, out=gb.imag)
+    np.multiply(pi_c * sp, dbeta, out=da.real)
+    np.multiply(c * (sp + pi_s * cp), -dbeta, out=da.imag)
+    np.multiply(pi_c * c * cp - s_sp, dbeta, out=db.imag)
+    # prefix[:, k] = g_{k-1} .. g_0 and suffix[:, k] = g_{N-1} .. g_{k+1}
+    n = len(x)
+    prefix = np.empty((2, n + 1) + x.shape[1:], complex)
+    suffix = np.empty((2,) + x.shape, complex)
+    (pa, pb), (sa, sb) = prefix, suffix
+    # a product with the identity is a copy
+    pa[0], pb[0], sa[-1], sb[-1] = 1.0, 0.0, 1.0, 0.0
+    pa[1], pb[1] = ga[0], gb[0]
+    if n > 1:
+        sa[-2], sb[-2] = ga[-1], gb[-1]
+    for k in range(1, n):
+        pair_mul(ga[k], gb[k], pa[k], pb[k], out=(pa[k + 1], pb[k + 1]))
+    for k in range(n - 2, 0, -1):
+        pair_mul(sa[k], sb[k], ga[k], gb[k], out=(sa[k - 1], sb[k - 1]))
+    # g is spent: its rows take dg_k (g_{k-1} .. g_0), then dg's rows take dq
+    pair_mul(da, db, pa[:-1], pb[:-1], out=(ga, gb))
+    pair_mul(sa, sb, ga, gb, out=(da, db))
+    return _real(prefix[:, -1]), _real(g[2:])
 
 
 def _residual(x: np.ndarray, target_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """r = q - s q_target with s = sign(q . q_target) per start, the Jacobian
     dr/dx, and |r|^2 / 2, which is the infidelity 1 - |tr(U^dag T)| / 2 exactly."""
     q, jac = _jacobian(x)
-    sign = np.where(q @ target_pair >= 0.0, 1.0, -1.0)
-    r = q - sign[:, None] * target_pair
-    return r, jac, 0.5 * np.einsum("si,si->s", r, r)
+    r = q - np.where(_dot4(q, target_pair) >= 0.0, 1.0, -1.0) * target_pair
+    return r, jac, 0.5 * _dot4(r, r)
+
+
+def _normal(jac: np.ndarray) -> np.ndarray:
+    """J J^T per start, shape (4, 4, starts). The terms are summed over the
+    pulses in order, as numpy's einsum sums them, formed _BLOCK pulses at a
+    time so that long sequences hold few of them."""
+    terms = np.empty((min(len(jac), _BLOCK) + 1, 4, 4, jac.shape[-1]))
+    normal = 0.0
+    for first in range(0, len(jac), _BLOCK):
+        rows = jac[first : first + _BLOCK]
+        terms[0] = normal
+        np.multiply(rows[:, :, None], rows[:, None], out=terms[1 : len(rows) + 1])
+        normal = np.add.reduce(terms[: len(rows) + 1], axis=0)
+    return normal
 
 
 def _descend(x: np.ndarray, target_pair: np.ndarray):
-    """Levenberg-Marquardt on every row of ``x`` (starts, N) in lockstep. Stops
-    once the first start within TOLERANCE is within TOLERANCE**2 (one or two
-    steps later, by quadratic convergence), or after _MAX_ITERATIONS.
-    Returns the coordinates, each start's infidelity and the iteration count."""
+    """Levenberg-Marquardt on every column of ``x`` (N, starts) in lockstep.
+    Once start h is within TOLERANCE, the starts after h are dropped: its
+    infidelity never rises, and only the lowest hit decides the result. Stops
+    once that hit is within TOLERANCE**2 (one or two steps later, by quadratic
+    convergence), or after _MAX_ITERATIONS. Returns the coordinates and the
+    infidelity of the starts kept, and the trial points evaluated."""
     r, jac, infidelity = _residual(x, target_pair)
-    damping = np.full(len(x), 1e-2)
+    damping = np.full(infidelity.shape, 1e-2)
+    evaluations = 0
     for iterations in range(_MAX_ITERATIONS + 1):
         hits = np.flatnonzero(infidelity <= TOLERANCE)
         if iterations == _MAX_ITERATIONS or (hits.size and infidelity[hits[0]] <= TOLERANCE**2):
             break
+        if hits.size and hits[0] + 1 < len(infidelity):
+            keep = slice(hits[0] + 1)
+            x, r, jac = x[:, keep], r[:, keep], jac[..., keep]
+            infidelity, damping = infidelity[keep], damping[keep]
         # minimum-norm damped Gauss-Newton step -J^T (J J^T + damping I)^-1 r
-        normal = np.einsum("sni,snj->sij", jac, jac) + damping[:, None, None] * _I4
-        trial_x = x - np.einsum("sni,si->sn", jac, np.linalg.solve(normal, r[..., None])[..., 0])
+        normal = _normal(jac)
+        normal.reshape(16, -1)[::5] += damping  # the diagonal
+        step = np.linalg.solve(normal.transpose(2, 0, 1), r.T[..., None])[..., 0].T
+        trial_x = x - _dot4(jac, step)
         trial_r, trial_jac, trial_infidelity = _residual(trial_x, target_pair)
+        evaluations += len(infidelity)
         better = trial_infidelity < infidelity
-        # accept in place: each row keeps its state or takes the trial's
-        np.copyto(x, trial_x, where=better[:, None])
-        np.copyto(r, trial_r, where=better[:, None])
-        np.copyto(jac, trial_jac, where=better[:, None, None])
+        # accept in place: each start keeps its state or takes the trial's
+        np.copyto(x, trial_x, where=better)
+        np.copyto(r, trial_r, where=better)
+        np.copyto(jac, trial_jac, where=better)
         np.copyto(infidelity, trial_infidelity, where=better)
         # J J^T has rank <= 3 (dq is tangent to the unit sphere at q), so the
         # floor keeps the 4x4 system invertible
         damping = np.where(better, np.maximum(damping / 3, 1e-12), damping * 4)
-    return x, infidelity, iterations
+    return x, infidelity, evaluations
 
 
 def _finish(target, x, evaluations, restarts_used) -> SynthesisResult:
@@ -255,13 +316,14 @@ def synthesize(
     best_infidelity, best_x = math.inf, None
     evaluations, restarts_used = 0, restarts
     for first in range(0, restarts, _CHUNK):
+        # one start per row of the draw, so that a seed keeps its starts
         starts = rng.uniform(0.0, _HALF_PI, (min(_CHUNK, restarts - first), length))
-        x, infidelity, iterations = _descend(starts, target_pair)
-        evaluations += iterations * len(x)
+        x, infidelity, batch_evaluations = _descend(starts.T.copy(), target_pair)
+        evaluations += batch_evaluations
         hits = np.flatnonzero(infidelity <= TOLERANCE)
         k = hits[0] if hits.size else int(np.argmin(infidelity))
         if infidelity[k] < best_infidelity:
-            best_infidelity, best_x = infidelity[k], x[k]
+            best_infidelity, best_x = infidelity[k], x[:, k]
         if hits.size:
             restarts_used = first + int(k) + 1
             break
@@ -273,5 +335,5 @@ def refine(target: TargetGate, betas) -> SynthesisResult:
     x0 = np.asarray([float(b) for b in betas])
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("betas must be a nonempty 1-d sequence")
-    x, _, iterations = _descend(x0[None], _target_pair(target.matrix))
-    return _finish(target, x[0], iterations, 0)
+    x, _, evaluations = _descend(x0[:, None], _target_pair(target.matrix))
+    return _finish(target, x[:, 0], evaluations, 0)

@@ -30,7 +30,7 @@ MUTATIONS = [
     (
         "search: jac not carried on accept",
         "synthesis.py",
-        "        np.copyto(jac, trial_jac, where=better[:, None, None])\n",
+        "        np.copyto(jac, trial_jac, where=better)\n",
         "",
     ),
     (
@@ -44,6 +44,30 @@ MUTATIONS = [
         "synthesis.py",
         "np.where(flip, -1.0, 1.0)",
         "np.where(flip, 1.0, 1.0)",
+    ),
+    (
+        "search: a dg term dropped",
+        "synthesis.py",
+        "c * (sp + pi_s * cp)",
+        "c * sp",
+    ),
+    (
+        "search: the J J^T terms summed over the pulses in reverse",
+        "synthesis.py",
+        "rows = jac[first : first + _BLOCK]",
+        "rows = jac[first : first + _BLOCK][::-1]",
+    ),
+    (
+        "search: pruning keeps hits[0] starts, dropping the hit itself",
+        "synthesis.py",
+        "keep = slice(hits[0] + 1)",
+        "keep = slice(hits[0])",
+    ),
+    (
+        "search: pruning keyed to the last hit",
+        "synthesis.py",
+        "keep = slice(hits[0] + 1)",
+        "keep = slice(hits[-1] + 1)",
     ),
     (
         "checks: <= changed to < in RunReport.verdicts",

@@ -187,6 +187,11 @@ def test_pair_mul_is_the_matrix_product(seed, n):
     (a1, b1), (a2, b2) = random_pairs(rng, n), random_pairs(rng, n)
     product = pair_matrix(*pair_mul(a1, b1, a2, b2))
     assert max_abs(product - pair_matrix(a1, b1) @ pair_matrix(a2, b2)) <= 1e-15
+    # written into given arrays, the pair is the same to the bit
+    out = np.empty(n, complex), np.empty(n, complex)
+    written = pair_mul(a1, b1, a2, b2, out=out)
+    assert written[0] is out[0] and written[1] is out[1]
+    assert np.array_equal(pair_matrix(*out), product)
 
 
 @given(seed=st.integers(0, 2**31), n=st.integers(1, 64))
@@ -211,7 +216,8 @@ def test_search_pair_is_the_composed_gate(seed, n):
     # the search's pair product against the independent 2x2 product, with
     # coordinates beyond both bounds; measured <= 7.1e-16 over 40,000
     # sequences of 1-8 pulses, where the 1e-12 infidelity check allows ~1e-6
-    x = np.random.default_rng(seed).uniform(-0.1, np.pi / 2 + 0.1, (1, n))
-    a, b = _jacobian(x)[0][0].view(complex)
-    reference = pair_of(compose(PulseSequence(tuple(_fold(x)[0][0]))))
+    x = np.random.default_rng(seed).uniform(-0.1, np.pi / 2 + 0.1, (n, 1))
+    q = _jacobian(x)[0][:, 0]
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    reference = pair_of(compose(PulseSequence(tuple(_fold(x)[0][:, 0]))))
     assert distance_up_to_sign((a, b), reference) <= 2e-15

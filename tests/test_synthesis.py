@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hologate import (
@@ -19,8 +19,9 @@ from hologate import (
     standard_target,
     synthesize,
 )
-from hologate.synthesis import TOLERANCE, _fold, _jacobian, _residual, _target_pair
+from hologate.synthesis import TOLERANCE, _descend, _fold, _jacobian, _residual, _target_pair
 
+import search_reference
 from conftest import random_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -187,12 +188,24 @@ def test_synthesize_not_gate_at_length_four():
 
 #: (restarts_used, evaluations) of `synth --target NAME --length N --seed S`
 #: at the default 100 restarts: the argv of the benchmark's `search` workload.
-#: Every search converges.
+#: Every search converges. `evaluations` counts the trial points evaluated,
+#: which stops growing for the starts after the first hit.
 SEARCH_POOL_WORK = {
-    ("NOT", 4): [(8, 600), (2, 600), (3, 500), (5, 500), (4, 700), (26, 600), (8, 600), (9, 400)],
-    ("Phase", 4): [(4, 700), (2, 600), (9, 700), (9, 500), (5, 600), (6, 700), (3, 500), (2, 600)],
-    ("T", 3): [(5, 400), (29, 400), (66, 400), (2, 600), (3, 500), (3, 900), (1, 500), (4, 600)],
-    ("Hadamard", 7): [(82, 600)],
+    ("NOT", 4): [(8, 409), (2, 324), (3, 327), (5, 310), (4, 399), (26, 416), (8, 433), (9, 309)],
+    ("Phase", 4): [(4, 397), (2, 308), (9, 409), (9, 318), (5, 317), (6, 338), (3, 309), (2, 325)],
+    ("T", 3): [(5, 305), (29, 329), (66, 366), (2, 322), (3, 312), (3, 436), (1, 304), (4, 355)],
+    ("Hadamard", 7): [(82, 582)],
+}
+
+#: (restarts_used, converged, evaluations) of searches that draw more than one
+#: batch of starts, keyed by (target, length, restarts, seed): Hadamard/7
+#: hits past the first 128 starts at these seeds, and Hadamard/6 never hits,
+#: so it drops no start and evaluates 200 starts x 60 iterations.
+MULTI_BATCH_WORK = {
+    ("Hadamard", 7, 300, 1): (175, True, 8414),
+    ("Hadamard", 7, 300, 4): (144, True, 8208),
+    ("Hadamard", 7, 300, 28): (201, True, 8521),
+    ("Hadamard", 6, 200, 0): (200, False, 12000),
 }
 
 
@@ -210,6 +223,14 @@ def test_synthesize_does_the_pinned_work_on_the_search_pool():
     assert {
         key: [(r.restarts_used, r.evaluations) for r in results] for key, results in work.items()
     } == SEARCH_POOL_WORK
+
+
+def test_synthesize_does_the_pinned_work_across_batches():
+    work = {}
+    for name, length, restarts, seed in MULTI_BATCH_WORK:
+        r = synthesize(standard_target(name), length, restarts, rng_seed=seed)
+        work[name, length, restarts, seed] = (r.restarts_used, r.converged, r.evaluations)
+    assert work == MULTI_BATCH_WORK
 
 
 def test_synthesize_is_deterministic():
@@ -238,14 +259,14 @@ def test_synthesize_rejects_non_positive_restarts(restarts):
 @given(coords=search_coords)
 @settings(max_examples=50)
 def test_jacobian_matches_central_differences(coords):
-    x = np.array([coords])
+    x = np.array([coords]).T
     _, jac = _jacobian(x)
     h = 1e-6
-    for k in range(x.shape[1]):
+    for k in range(len(x)):
         step = np.zeros_like(x)
-        step[0, k] = h
+        step[k, 0] = h
         numeric = (_jacobian(x + step)[0] - _jacobian(x - step)[0]) / (2 * h)
-        assert max_abs(jac[0, k] - numeric[0]) <= 1e-7
+        assert max_abs(jac[k, :, 0] - numeric[:, 0]) <= 1e-7
 
 
 @given(coords=search_coords, seed=st.integers(0, 2**32 - 1))
@@ -253,8 +274,8 @@ def test_jacobian_matches_central_differences(coords):
 def test_residual_infidelity_matches_trace_fidelity_and_is_never_negative(coords, seed):
     # a U(2) target with det != 1 exercises the sqrt(det) normalization
     target = TargetGate(random_unitary(np.random.default_rng(seed)))
-    x = np.array([coords])
-    seq = PulseSequence(tuple(_fold(x)[0][0]))
+    x = np.array([coords]).T
+    seq = PulseSequence(tuple(_fold(x)[0][:, 0]))
     infidelity = _residual(x, _target_pair(target.matrix))[2][0]
     assert infidelity >= 0.0
     expected = 1.0 - fidelity(compose(seq), target.matrix).magnitude
@@ -264,6 +285,33 @@ def test_residual_infidelity_matches_trace_fidelity_and_is_never_negative(coords
     result = refine(TargetGate(compose(seq)), coords)
     assert result.converged
     assert 1.0 - result.fidelity.magnitude >= 0.0
+
+
+@given(
+    length=st.integers(1, 8),
+    batch=st.integers(1, 130),
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(["NOT", "Hadamard", "Phase", "T"]),
+)
+# start 3 hits first, then start 1, then start 0, so the batch narrows twice
+@example(length=4, batch=4, seed=12, name="NOT")
+@settings(max_examples=40)
+def test_descend_matches_the_row_major_reference_up_to_the_first_hit(length, batch, seed, name):
+    matrix = standard_target(name).matrix
+    starts = np.random.default_rng(seed).uniform(0.0, math.pi / 2, (batch, length))
+    want_x, want_infidelity, lowest_hits = search_reference.descend(
+        starts, search_reference.target_pair(matrix)
+    )
+    x, infidelity, evaluations = _descend(starts.T.copy(), _target_pair(matrix))
+    # each iteration advances the starts up to the lowest hit seen so far
+    kept, evaluated = batch, 0
+    for h in lowest_hits:
+        kept = kept if h is None else min(kept, h + 1)
+        evaluated += kept
+    assert evaluations == evaluated
+    assert x.shape == (length, kept)
+    assert np.array_equal(x, want_x[:kept].T)
+    assert np.array_equal(infidelity, want_infidelity[:kept])
 
 
 # --- noncommutativity ---------------------------------------------------------------
