@@ -17,7 +17,7 @@ steps, with the smallest k that leaves at most ``_SCAN_BLOCKS`` blocks. The
 factors of a group of about ``_GROUP_STEPS`` steps are built as rows of whole
 blocks and each row is reduced by the tree along its last axis, every level
 written into one workspace allocated once per call, so only one cache-sized
-group is ever held: a ``verify`` peaks at ~2.5 MB (tracemalloc) at 10^6 and
+group is ever held: a ``verify`` peaks at ~1.9 MB (tracemalloc) at 10^6 and
 at 10^7 steps alike. Inside a row the drive phase factors exactly into a row
 and a column exponential, so a factor costs one complex multiply instead of
 a sin and a cos; ``a`` is the same for every factor, so the first level
@@ -65,10 +65,10 @@ UNITARITY_ABORT = 1e-8
 _SCAN_BLOCKS = 1024
 
 #: Steps whose factors are built and reduced at once. The workspace of a
-#: 2^15-step group (512 KiB of ``b``, 768 KiB of level buffers, 256 KiB of
-#: temporary, and up to 512 KiB of stopped rows) stays in L2, and it is
-#: allocated once per call, so its page faults do not grow with the step
-#: count. At 10^6 steps 2^14 and 2^16 measured 11.5 and 13.4 ms against
+#: 2^15-step group (512 KiB of ``b``, which then takes the even tree levels,
+#: 512 KiB for the odd levels, and up to 512 KiB of stopped rows) stays in L2,
+#: and it is allocated once per call, so its page faults do not grow with the
+#: step count. At 10^6 steps 2^14 and 2^16 measured 11.5 and 13.4 ms against
 #: 10.6 ms (in process, medians of 27), and 2^13 and 2^17 slower still.
 _GROUP_STEPS = 2**15
 
@@ -151,73 +151,86 @@ def _step_factors(
     return complex(ca, sa * p.detuning / field), rows, columns
 
 
-def _level_sizes(rows: int, width: int) -> tuple[int, int, int]:
+def _level_sizes(rows: int, width: int, scalar_a: bool) -> tuple[int, int]:
     """Entries that a tree over ``rows`` rows of ``width`` pairs needs in
-    each of the two level buffers of ``_tree_levels`` and in its temporary:
-    the first level is the widest written into the first buffer and the
-    temporary, the second level the widest written into the second."""
+    each of the two level buffers of ``_tree_levels``: the first level is the
+    widest written into the first buffer, with its temporary behind it unless
+    ``a`` is one complex number, and the second level and its temporary the
+    widest written into the second."""
     first = width - width // 2
-    return 2 * rows * first, 2 * rows * (first - first // 2), rows * (width // 2)
+    second = first - first // 2
+    return rows * (2 * first + (0 if scalar_a else width // 2)), rows * (2 * second + first // 2)
 
 
-def _pair_level(a, b: np.ndarray, out: np.ndarray | None, tmp: np.ndarray | None):
+def _pair_level(a, b: np.ndarray, out: np.ndarray | None):
     """One level of the pair tree along the last axis: pair j of the level is
     pair 2j + 1 times pair 2j by the formula of ``pair_mul``, and an odd last
     pair is carried unchanged into the last slot. Returns the level (a, b).
 
     The level is written contiguously into the 1-D buffer ``out``, its a
-    before its b, with the 1-D buffer ``tmp`` as scratch; neither may overlap
-    the pairs read. Without buffers the level and its scratch are new arrays,
-    which costs less than making views for the few pairs of a final tree.
+    before its b and its temporary right behind them; ``out`` may not overlap
+    the pairs read. Without a buffer the level and its temporary are new
+    arrays, which costs less than making views for the few pairs of a final
+    tree.
 
     ``a`` is an array shaped like ``b``, or one complex number shared by
     every pair, as on the first level over ``_step_factors``' rows: then
-    a a - b1 conj(b0) and a b0 + b1 conj(a) take 6 array passes instead of 8.
+    a a - b1 conj(b0) and a b0 + b1 conj(a) take 6 array passes instead of 8
+    and no temporary.
     """
     lead, width = b.shape[:-1], b.shape[-1]
     n = width // 2
-    shape = (2,) + lead + (width - n,)
+    shape, t_shape = (2,) + lead + (width - n,), lead + (n,)
     if out is None:
         level = np.empty(shape, dtype=complex)
     else:
         level = out[: math.prod(shape)].reshape(shape)
-        tmp = tmp[: b.size // width * n].reshape(lead + (n,))
     la, lb = level[0], level[1]
     pa, pb = (la[..., :n], lb[..., :n]) if width % 2 else (la, lb)
     b1, b0 = b[..., 1::2], b[..., : 2 * n : 2]
-    np.conjugate(b0, pa)
-    t = np.multiply(b1, pa, tmp)
     if isinstance(a, np.ndarray):
+        if out is None:
+            t = np.empty(t_shape, dtype=complex)
+        else:
+            t = out[level.size : level.size + math.prod(t_shape)].reshape(t_shape)
         a1, a0 = a[..., 1::2], a[..., : 2 * n : 2]
+        np.conjugate(b0, pa)
+        np.multiply(b1, pa, t)
         np.multiply(a1, a0, pb)
         np.subtract(pb, t, pa)
         np.conjugate(a0, t)
         np.multiply(b1, t, pb)
         np.multiply(a1, b0, t)
+        np.add(pb, t, pb)
         carry = a[..., -1]
     else:
+        # pb is finished before pa, so pa holds pb's second term
+        np.multiply(a, b0, pb)
+        np.multiply(b1, a.conjugate(), pa)
+        np.add(pb, pa, pb)
+        np.conjugate(b0, pa)
+        np.multiply(b1, pa, pa)
         # a a by numpy's loop, which may fuse multiply and add, so that it
         # rounds as the array product does; Python's complex multiply does not
-        np.subtract(np.multiply(np.asarray(a), a), t, pa)
-        np.multiply(a, b0, pb)
-        np.multiply(b1, a.conjugate(), t)
+        np.subtract(np.multiply(np.asarray(a), a), pa, pa)
         carry = a
-    np.add(pb, t, pb)
     if width % 2:
         la[..., n] = carry
         lb[..., n] = b[..., -1]
     return la, lb
 
 
-def _tree_levels(a, b: np.ndarray, stop: int, odd=None, even=None, tmp=None):
+def _tree_levels(a, b: np.ndarray, stop: int, first=None, second=None):
     """Reduce the pairs (a, b) along the last axis by ``_pair_level`` until
     at most ``stop`` pairs per row remain, writing the odd levels into the
-    1-D buffer ``odd`` and the even ones into ``even`` (see ``_level_sizes``),
-    or into new arrays without buffers; returns the last level, which is
-    (a, b) when ``stop`` is already met."""
-    out, spare = odd, even
+    1-D buffer ``first`` and the even ones into ``second`` (see
+    ``_level_sizes``), or into new arrays without buffers; returns the last
+    level, which is (a, b) when ``stop`` is already met. ``second`` may hold
+    the pairs (a, b) themselves, since the first level has read them before
+    the second is written."""
+    out, spare = first, second
     while b.shape[-1] > stop:
-        a, b = _pair_level(a, b, out, tmp)
+        a, b = _pair_level(a, b, out)
         out, spare = spare, out
     return a, b
 
@@ -260,26 +273,28 @@ def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.n
     reduced to its roots at once. Otherwise every group stops at
     ``_TOP_PAIRS`` pairs per row or fewer, and the rest of the tree runs
     once over all rows of the set, in the same association order. All of
-    it happens in one workspace allocated for all the sets: a group's ``b``,
-    the stopped rows of a set, and the two level buffers and the temporary
-    of ``_tree_levels``.
+    it happens in one workspace allocated for all the sets: the first level
+    buffer of ``_tree_levels``, a group's ``b``, which is its second level
+    buffer, and the stopped rows of a set.
     """
-    need = (0, 0, 0, 0, 0)
+    need = (0, 0, 0)
     for t_rows, steps in row_sets:
         if steps == 1:
             continue
         n_rows, per_group = len(t_rows), max(1, _GROUP_STEPS // steps)
         rows = min(n_rows, per_group)
-        need = tuple(map(max, need, (rows * steps, 0, *_level_sizes(rows, steps))))
+        group = _level_sizes(rows, steps, scalar_a=True)
+        need = tuple(map(max, need, (group[0], max(rows * steps, group[1]), 0)))
         if n_rows > per_group:
             top = _top_width(steps)
-            need = tuple(map(max, need, (0, 2 * n_rows * top, *_level_sizes(n_rows, top))))
-    # One block rather than five: glibc serves the first from mmap and then
+            top_sizes = (*_level_sizes(n_rows, top, scalar_a=False), 2 * n_rows * top)
+            need = tuple(map(max, need, top_sizes))
+    # One block rather than three: glibc serves the first from mmap and then
     # raises its mmap and trim thresholds to the block's size, so later calls
     # find it in the heap instead of faulting it in again.
     work = np.empty(sum(need), dtype=complex)
     ends = accumulate(need)
-    b_work, top_work, odd, even, tmp = (work[end - n : end] for n, end in zip(need, ends))
+    first, b_work, top_work = (work[end - n : end] for n, end in zip(need, ends))
     a_sets, b_sets = [], []
     for t_rows, steps in row_sets:
         factors = _step_factors(p, t_rows, dt, steps)
@@ -301,13 +316,13 @@ def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.n
             b = b_work[: count * steps].reshape(count, steps)
             np.multiply(rows[start : start + count, None], columns, b)
             if n_rows <= per_group:
-                la, lb = _tree_levels(a, b, 1, odd, even, tmp)
+                la, lb = _tree_levels(a, b, 1, first, b_work)
                 break
-            la, lb = _tree_levels(a, b, _TOP_PAIRS, odd, even, tmp)
+            la, lb = _tree_levels(a, b, _TOP_PAIRS, first, b_work)
             top[0, start : start + count] = la
             top[1, start : start + count] = lb
         else:  # every group stopped at _TOP_PAIRS: finish all the rows at once
-            la, lb = _tree_levels(top[0], top[1], 1, odd, even, tmp)
+            la, lb = _tree_levels(top[0], top[1], 1, first, b_work)
         pa, pb = pair_unit(la[..., 0], lb[..., 0])
         a_sets.append(pa)
         b_sets.append(pb)

@@ -94,6 +94,67 @@ MUTATIONS = [
         "@functools.cache\ndef build_parser",
         "def build_parser",
     ),
+    (
+        "tree: the operands of each pair product swapped",
+        "evolution.py",
+        "b1, b0 = b[..., 1::2], b[..., : 2 * n : 2]",
+        "b0, b1 = b[..., 1::2], b[..., : 2 * n : 2]",
+    ),
+    (
+        "tree: the odd carry dropped (the identity carried instead)",
+        "evolution.py",
+        "la[..., n] = carry\n        lb[..., n] = b[..., -1]\n",
+        "la[..., n] = 1\n        lb[..., n] = 0\n",
+    ),
+    (
+        "tree: the odd-carry slot left unwritten",
+        "evolution.py",
+        "    if width % 2:\n        la[..., n] = carry\n        lb[..., n] = b[..., -1]\n",
+        "",
+    ),
+    (
+        "tree: the scalar level's a a changed to a conj(a)",
+        "evolution.py",
+        "np.multiply(np.asarray(a), a)",
+        "np.multiply(np.asarray(a), a.conjugate())",
+    ),
+    (
+        "tree: no ping-pong swap between the level buffers",
+        "evolution.py",
+        "        out, spare = spare, out\n",
+        "",
+    ),
+    (
+        "tree: the temporary placed at the start of the output buffer",
+        "evolution.py",
+        "out[level.size : level.size + math.prod(t_shape)]",
+        "out[: math.prod(t_shape)]",
+    ),
+    (
+        "tree: the temporaries left out of the level buffers' sizes",
+        "evolution.py",
+        "rows * (2 * first + (0 if scalar_a else width // 2)), rows * (2 * second + first // 2)",
+        "rows * 2 * first, rows * 2 * second",
+    ),
+    (
+        "rows: the root division dropped",
+        "evolution.py",
+        "pa, pb = pair_unit(la[..., 0], lb[..., 0])",
+        "pa, pb = la[..., 0], lb[..., 0]",
+    ),
+    (
+        "rows: the top rows placed in reverse group order",
+        "evolution.py",
+        "top[0, start : start + count] = la\n            top[1, start : start + count] = lb\n",
+        "top[0, n_rows - start - count : n_rows - start] = la\n"
+        "            top[1, n_rows - start - count : n_rows - start] = lb\n",
+    ),
+    (
+        "rows: the workspace sized for the first row set only",
+        "evolution.py",
+        "    for t_rows, steps in row_sets:\n        if steps == 1:\n            continue\n",
+        "    for t_rows, steps in row_sets[:1]:\n        if steps == 1:\n            continue\n",
+    ),
 ]
 
 

@@ -155,6 +155,16 @@ def test_bloch_vectors_rejects_unnormalized_batch():
         bloch_vectors(np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "state", [[np.nan, 0.0], [np.inf, 0.0], [1e200, 0.0]], ids=["nan", "inf", "overflow"]
+)
+def test_bloch_vectors_rejects_a_non_finite_or_overflowing_state(state):
+    # |up|^2 of 1e200 overflows to inf; it fails the normalization check with
+    # the other non-finite norms instead of warning first
+    with pytest.raises(ValueError, match="normalized"):
+        bloch_vectors(np.array([[1.0, 0.0], state], dtype=complex))
+
+
 @given(seed=st.integers(0, 2**31))
 def test_bloch_stays_on_sphere_under_unitaries(seed):
     rng = np.random.default_rng(seed)
