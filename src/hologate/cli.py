@@ -52,8 +52,9 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 #: Largest ``verify --steps``. The integrator streams its step factors, so a
-#: verify run peaks at ~2.5 MB whatever the count (tracemalloc, 10^6 and 10^7
-#: steps); the cap bounds its time, 0.12-0.15 s at 10^7 steps (in process,
+#: verify run peaks at ~1.4 MB at 10^6 steps and ~1.5 MB at 10^7 (tracemalloc),
+#: where only the 256 KiB column exponential of its 2^14-step rows grows with
+#: the count; the cap bounds its time, 0.09-0.11 s at 10^7 steps (in process,
 #: medians of 5 on a 2-core Xeon), not its memory.
 MAX_VERIFY_STEPS = 10_000_000
 #: Largest ``trajectory --samples``. One beta peaks at ~700 B per sample

@@ -17,15 +17,17 @@ steps, with the smallest k that leaves at most ``_SCAN_BLOCKS`` blocks. The
 factors of a group of about ``_GROUP_STEPS`` steps are built as rows of whole
 blocks and each row is reduced by the tree along its last axis, every level
 written into one workspace allocated once per call, so only one cache-sized
-group is ever held: a ``verify`` peaks at ~1.9 MB (tracemalloc) at 10^6 and
-at 10^7 steps alike. Inside a row the drive phase factors exactly into a row
-and a column exponential, so a factor costs one complex multiply instead of
-a sin and a cos; ``a`` is the same for every factor, so the first level
-takes it as one complex number. When the rows span several groups, each
-group stops at ``_TOP_PAIRS`` pairs per row and the narrow top levels run
-once over all the rows. The block pairs are the level that one tree over
-all the steps would pass through, each the divided root of its row's tree,
-and the same tree finishes the product over them and divides its own root.
+group is ever held: a ``verify`` peaks at ~1.4 MB (tracemalloc) at 10^6 and
+~1.5 MB at 10^7 steps. The views of a group's levels in the workspace are
+planned once per row count and reused by every group of that count. Inside a
+row the drive phase factors exactly into a row and a column exponential, so
+a factor costs one complex multiply instead of a sin and a cos; ``a`` is the
+same for every factor, so the first level takes it as one complex number.
+When the rows span several groups, each group stops at ``_TOP_PAIRS`` pairs
+per row and the narrow top levels run once over all the rows. The block
+pairs are the level that one tree over all the steps would pass through,
+each the divided root of its row's tree, and the same tree finishes the
+product over them and divides its own root.
 
 The block pairs also yield the propagated states along the way: a prefix
 scan over them gives the numerical propagator at every block boundary.
@@ -66,15 +68,28 @@ _SCAN_BLOCKS = 1024
 
 #: Steps whose factors are built and reduced at once. The workspace of a
 #: 2^15-step group (512 KiB of ``b``, which then takes the even tree levels,
-#: 512 KiB for the odd levels, and up to 512 KiB of stopped rows) stays in L2,
+#: 512 KiB for the odd levels, and up to 256 KiB of stopped rows) stays in L2,
 #: and it is allocated once per call, so its page faults do not grow with the
 #: step count. At 10^6 steps 2^14 and 2^16 measured 11.5 and 13.4 ms against
-#: 10.6 ms (in process, medians of 27), and 2^13 and 2^17 slower still.
+#: 10.6 ms (in process, medians of 27), and 2^13 and 2^17 slower still; at
+#: 10^7 steps groups of one 2^14-step row took 137 ms against 104 ms for the
+#: two rows of 2^15 steps (medians of 9).
 _GROUP_STEPS = 2**15
 
 #: Pairs per row at or below which a group's tree stops when its set spans
 #: several groups; the rest of the tree runs once over all rows of the set.
-_TOP_PAIRS = 16
+#: The stopped rows are held until then: 250 KB at 10^6 steps (976 rows of 8
+#: pairs) against 500 KB at 16 pairs. The extra narrow level that each group
+#: then runs is paid for by its planned views (``_plan_tree``).
+_TOP_PAIRS = 8
+
+#: Rows at or below which a group's factors are built one row at a time
+#: rather than by one broadcast (``_build_group``): groups of rows of at least
+#: ~1,024 steps, which the 10^6- and 10^7-step products have.
+_ROW_BUILD_ROWS = 32
+
+#: Steps per row from which a broadcast build runs without numpy's buffers.
+_UNBUFFERED_STEPS = 128
 
 #: Nodes at which ``_phase_quadrature`` evaluates the phase integrands.
 _QUADRATURE_NODES = 17
@@ -147,7 +162,7 @@ def _step_factors(
     half = -0.5 * field * dt
     ca, sa = math.cos(half), math.sin(half)
     rows = (1j * sa * p.omega_rabi / field) * np.exp(-1j * p.omega_drive * t_rows)
-    columns = np.exp(-1j * p.omega_drive * ((np.arange(steps) + 0.5) * dt))
+    columns = np.exp(-1j * p.omega_drive * (np.arange(0.5, steps) * dt))
     return complex(ca, sa * p.detuning / field), rows, columns
 
 
@@ -163,9 +178,14 @@ def _level_sizes(rows: int, width: int, scalar_a: bool) -> tuple[int, int]:
 
 
 def _pair_level(a, b: np.ndarray, out: np.ndarray | None):
-    """One level of the pair tree along the last axis: pair j of the level is
-    pair 2j + 1 times pair 2j by the formula of ``pair_mul``, and an odd last
-    pair is carried unchanged into the last slot. Returns the level (a, b).
+    """Plan of one level of the pair tree along the last axis: pair j of the
+    level is pair 2j + 1 times pair 2j by the formula of ``pair_mul``, and an
+    odd last pair is carried unchanged into the last slot. Returns
+    (plan, (a, b)): the calls that write the level, as (function, operands)
+    for ``_run``, and the level they write: ``_array_level`` or
+    ``_scalar_level``, then ``_carry`` for an odd width. The operands are
+    views, so the plan can be run again whenever new pairs stand in the same
+    places.
 
     The level is written contiguously into the 1-D buffer ``out``, its a
     before its b and its temporary right behind them; ``out`` may not overlap
@@ -193,46 +213,83 @@ def _pair_level(a, b: np.ndarray, out: np.ndarray | None):
             t = np.empty(t_shape, dtype=complex)
         else:
             t = out[level.size : level.size + math.prod(t_shape)].reshape(t_shape)
-        a1, a0 = a[..., 1::2], a[..., : 2 * n : 2]
-        np.conjugate(b0, pa)
-        np.multiply(b1, pa, t)
-        np.multiply(a1, a0, pb)
-        np.subtract(pb, t, pa)
-        np.conjugate(a0, t)
-        np.multiply(b1, t, pb)
-        np.multiply(a1, b0, t)
-        np.add(pb, t, pb)
+        plan = [(_array_level, (a[..., 1::2], b1, a[..., : 2 * n : 2], b0, pa, pb, t))]
         carry = a[..., -1]
     else:
-        # pb is finished before pa, so pa holds pb's second term
-        np.multiply(a, b0, pb)
-        np.multiply(b1, a.conjugate(), pa)
-        np.add(pb, pa, pb)
-        np.conjugate(b0, pa)
-        np.multiply(b1, pa, pa)
         # a a by numpy's loop, which may fuse multiply and add, so that it
         # rounds as the array product does; Python's complex multiply does not
-        np.subtract(np.multiply(np.asarray(a), a), pa, pa)
+        plan = [(_scalar_level, (a, a.conjugate(), np.multiply(np.asarray(a), a), b1, b0, pa, pb))]
         carry = a
     if width % 2:
-        la[..., n] = carry
-        lb[..., n] = b[..., -1]
-    return la, lb
+        plan.append((_carry, (la, lb, n, carry, b[..., -1])))
+    return plan, (la, lb)
+
+
+def _array_level(
+    a1, b1, a0, b0, pa, pb, t, conj=np.conjugate, mul=np.multiply, sub=np.subtract, add=np.add
+) -> None:
+    """(pa, pb) = (a1, b1) times (a0, b0) by the formula of ``pair_mul``, in
+    8 array passes through the temporary ``t``. The ufuncs are bound as
+    defaults, since on the narrow levels of a tree looking them up on ``np``
+    costs about as much as the plan saves."""
+    conj(b0, pa)
+    mul(b1, pa, t)
+    mul(a1, a0, pb)
+    sub(pb, t, pa)
+    conj(a0, t)
+    mul(b1, t, pb)
+    mul(a1, b0, t)
+    add(pb, t, pb)
+
+
+def _scalar_level(
+    a, a_conj, aa, b1, b0, pa, pb, conj=np.conjugate, mul=np.multiply, sub=np.subtract, add=np.add
+) -> None:
+    """(pa, pb) = (a, b1) times (a, b0) by the formula of ``pair_mul``, for
+    one ``a`` with its conjugate and a a, in 6 array passes: pb is finished
+    before pa, so pa holds pb's second term."""
+    mul(a, b0, pb)
+    mul(b1, a_conj, pa)
+    add(pb, pa, pb)
+    conj(b0, pa)
+    mul(b1, pa, pa)
+    sub(aa, pa, pa)
+
+
+def _carry(la, lb, n, a, b) -> None:
+    """Carry an odd last pair (a, b) into the last slot n of the level (la, lb)."""
+    la[..., n] = a
+    lb[..., n] = b
+
+
+def _plan_tree(a, b: np.ndarray, stop: int, first=None, second=None):
+    """(plan, (a, b)): the plans of the ``_pair_level`` levels that reduce
+    the pairs (a, b) along the last axis until at most ``stop`` pairs per
+    row remain, in order, and the last level, which is (a, b) when ``stop``
+    is already met. The odd levels go into the 1-D buffer ``first`` and the
+    even ones into ``second`` (see ``_level_sizes``), or into new arrays
+    without buffers. ``second`` may hold the pairs (a, b) themselves, since
+    the first level has read them before the second is written."""
+    plan = []
+    out, spare = first, second
+    while b.shape[-1] > stop:
+        level, (a, b) = _pair_level(a, b, out)
+        plan += level
+        out, spare = spare, out
+    return plan, (a, b)
+
+
+def _run(plan) -> None:
+    """Make the calls of a plan, in order."""
+    for function, operands in plan:
+        function(*operands)
 
 
 def _tree_levels(a, b: np.ndarray, stop: int, first=None, second=None):
-    """Reduce the pairs (a, b) along the last axis by ``_pair_level`` until
-    at most ``stop`` pairs per row remain, writing the odd levels into the
-    1-D buffer ``first`` and the even ones into ``second`` (see
-    ``_level_sizes``), or into new arrays without buffers; returns the last
-    level, which is (a, b) when ``stop`` is already met. ``second`` may hold
-    the pairs (a, b) themselves, since the first level has read them before
-    the second is written."""
-    out, spare = first, second
-    while b.shape[-1] > stop:
-        a, b = _pair_level(a, b, out)
-        out, spare = spare, out
-    return a, b
+    """Run the plan of ``_plan_tree`` once; returns its last level."""
+    plan, level = _plan_tree(a, b, stop, first, second)
+    _run(plan)
+    return level
 
 
 def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,20 +320,44 @@ def _top_width(steps: int) -> int:
     return steps
 
 
-def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pair product of every row of ``_step_factors`` over the list of row
-    sets (t_rows, steps), concatenated in order, or None when H vanishes.
+def _build_targets(b: np.ndarray):
+    """Where ``_build_group`` writes the factors of a group: the rows of its
+    ``b`` when it has at most ``_ROW_BUILD_ROWS`` rows, else ``b`` itself."""
+    return list(b) if len(b) <= _ROW_BUILD_ROWS else b
 
-    A set is built and reduced ``_GROUP_STEPS // steps`` rows at a time (at
-    least one), so only one cache-sized group of factors is ever held. The
-    first level takes ``a`` as one complex number. A set of one group is
-    reduced to its roots at once. Otherwise every group stops at
-    ``_TOP_PAIRS`` pairs per row or fewer, and the rest of the tree runs
-    once over all rows of the set, in the same association order. All of
-    it happens in one workspace allocated for all the sets: the first level
-    buffer of ``_tree_levels``, a group's ``b``, which is its second level
-    buffer, and the stopped rows of a set.
+
+def _build_group(rows: np.ndarray, columns: np.ndarray, targets) -> None:
+    """Write the factors' b of a group, rows[i] columns[m], into the
+    ``_build_targets`` of its b: one multiply per row into a list of rows,
+    else one broadcast over all of them. The row factor comes first either
+    way, so that both round the same (the other order does not).
+
+    numpy runs a broadcast whose rows are shorter than its ufunc buffer
+    (8,192 entries) through two such buffers, allocated on every call
+    (263 KB). That pays on rows of a few steps, but from
+    ``_UNBUFFERED_STEPS`` on it only copies, so there the broadcast runs
+    with the buffer turned down below a row: 33 instead of 60 us on 256 rows
+    of 128 steps. The row loop costs ~1 us per row, 5-32x the broadcast on
+    groups of many short rows.
     """
+    if isinstance(targets, list):
+        for row, out in zip(rows, targets):
+            np.multiply(row, columns, out)
+    elif len(columns) < _UNBUFFERED_STEPS:
+        np.multiply(rows[:, None], columns, targets)
+    else:
+        size = np.setbufsize(16)
+        try:
+            np.multiply(rows[:, None], columns, targets)
+        finally:
+            np.setbufsize(size)
+
+
+def _workspace_sizes(row_sets) -> tuple[int, int, int]:
+    """Entries of the three regions of ``_row_products``' workspace over the
+    row sets (t_rows, steps): the first level buffer of ``_tree_levels``, a
+    group's ``b``, which is its second level buffer, and the stopped rows of
+    a set."""
     need = (0, 0, 0)
     for t_rows, steps in row_sets:
         if steps == 1:
@@ -289,18 +370,33 @@ def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.n
             top = _top_width(steps)
             top_sizes = (*_level_sizes(n_rows, top, scalar_a=False), 2 * n_rows * top)
             need = tuple(map(max, need, top_sizes))
-    # One block rather than three: glibc serves the first from mmap and then
-    # raises its mmap and trim thresholds to the block's size, so later calls
-    # find it in the heap instead of faulting it in again.
-    work = np.empty(sum(need), dtype=complex)
-    ends = accumulate(need)
-    first, b_work, top_work = (work[end - n : end] for n, end in zip(need, ends))
+    return need
+
+
+def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.ndarray] | None:
+    """Pair product of every row of ``_step_factors`` over the list of row
+    sets (t_rows, steps), concatenated in order, or None when H vanishes.
+
+    A set is built and reduced ``_GROUP_STEPS // steps`` rows at a time (at
+    least one), so only one cache-sized group of factors is ever held. The
+    first level takes ``a`` as one complex number. A set of one group is
+    reduced to its roots at once. Otherwise every group stops at
+    ``_TOP_PAIRS`` pairs per row or fewer, and the rest of the tree runs
+    once over all rows of the set, in the same association order. A set's
+    groups have at most two row counts, the full one and the last group's,
+    and each count's tree is planned once: every group of that count runs
+    the same calls on the same views. All of it happens in one workspace
+    allocated for all the sets (``_workspace_sizes``).
+    """
+    need = _workspace_sizes(row_sets)
+    work = None
     a_sets, b_sets = [], []
     for t_rows, steps in row_sets:
         factors = _step_factors(p, t_rows, dt, steps)
         if factors is None:
             return None
         a, rows, columns = factors
+        del factors
         n_rows, per_group = len(t_rows), max(1, _GROUP_STEPS // steps)
         if steps == 1:
             # one exact factor per row: no tree runs, so there is no norm to divide
@@ -309,23 +405,40 @@ def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.n
             continue
         if n_rows == 0:
             continue
-        if n_rows > per_group:
+        if work is None:
+            # One block rather than three: glibc serves the first from mmap
+            # and then raises its mmap and trim thresholds to the block's
+            # size, so later calls find it in the heap instead of faulting it
+            # in again. It comes after the first set's factors, so that the
+            # temporaries of their column exponential do not stack on it.
+            work = np.empty(sum(need), dtype=complex)
+            ends = accumulate(need)
+            first, b_work, top_work = (work[end - n : end] for n, end in zip(need, ends))
+        stop = 1 if n_rows <= per_group else _TOP_PAIRS
+        if stop > 1:
             top = top_work[: 2 * n_rows * _top_width(steps)].reshape(2, n_rows, -1)
+        plans = {}
         for start in range(0, n_rows, per_group):
             count = min(per_group, n_rows - start)
-            b = b_work[: count * steps].reshape(count, steps)
-            np.multiply(rows[start : start + count, None], columns, b)
-            if n_rows <= per_group:
-                la, lb = _tree_levels(a, b, 1, first, b_work)
-                break
-            la, lb = _tree_levels(a, b, _TOP_PAIRS, first, b_work)
-            top[0, start : start + count] = la
-            top[1, start : start + count] = lb
-        else:  # every group stopped at _TOP_PAIRS: finish all the rows at once
+            if count not in plans:
+                b = b_work[: count * steps].reshape(count, steps)
+                plans[count] = _build_targets(b), *_plan_tree(a, b, stop, first, b_work)
+            targets, plan, (la, lb) = plans[count]
+            _build_group(rows[start : start + count], columns, targets)
+            _run(plan)
+            if stop > 1:
+                top[0, start : start + count] = la
+                top[1, start : start + count] = lb
+        # The column exponential goes before the rest of the set's tree and
+        # the next set's factors are built, so that none of them stacks on it.
+        del columns
+        if stop > 1:  # every group stopped at _TOP_PAIRS: finish all the rows at once
             la, lb = _tree_levels(top[0], top[1], 1, first, b_work)
         pa, pb = pair_unit(la[..., 0], lb[..., 0])
         a_sets.append(pa)
         b_sets.append(pb)
+    if len(a_sets) == 1:  # nothing to join
+        return a_sets[0], b_sets[0]
     return np.concatenate(a_sets), np.concatenate(b_sets)
 
 

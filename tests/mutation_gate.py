@@ -6,13 +6,16 @@ Run by name, not collected by pytest:
     python tests/mutation_gate.py
 
 Each row is ``(name, file under src/hologate, exact old text, new text)``;
-the old text must occur exactly once. The gate first runs the suite on an
-unmutated copy, which must pass, then on one copy per row, with
-``pytest -x -q -p no:cacheprovider tests``. Each copy holds ``src/``,
-``tests/`` and ``pyproject.toml`` in a temporary directory, so the checkout
-is never edited. It prints one line per row, with the first failing test of
-each killed row; the exit code is 1 if the unmutated copy fails or a row
-survives. A row that survives is a gap in the tests, not a row to delete.
+the old text must occur exactly once, which ``test_mutation_gate.py`` checks
+on every run of the suite. The gate first runs the suite on an unmutated
+copy, which must pass, then on one copy per row, with
+``pytest -x -q -p no:cacheprovider tests``, leaving out
+``test_mutation_gate.py``, which fails on every mutated copy by design.
+Each copy holds ``src/``, ``tests/`` and ``pyproject.toml`` in a temporary
+directory, so the checkout is never edited. It prints one line per row, with
+the first failing test of each killed row; the exit code is 1 if the
+unmutated copy fails or a row survives. A row that survives is a gap in the
+tests, not a row to delete.
 """
 
 import os
@@ -25,6 +28,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Where the files named in MUTATIONS live.
+SRC = ROOT / "src" / "hologate"
 
 MUTATIONS = [
     (
@@ -103,13 +109,13 @@ MUTATIONS = [
     (
         "tree: the odd carry dropped (the identity carried instead)",
         "evolution.py",
-        "la[..., n] = carry\n        lb[..., n] = b[..., -1]\n",
-        "la[..., n] = 1\n        lb[..., n] = 0\n",
+        "    la[..., n] = a\n    lb[..., n] = b\n",
+        "    la[..., n] = 1\n    lb[..., n] = 0\n",
     ),
     (
         "tree: the odd-carry slot left unwritten",
         "evolution.py",
-        "    if width % 2:\n        la[..., n] = carry\n        lb[..., n] = b[..., -1]\n",
+        "    if width % 2:\n        plan.append((_carry, (la, lb, n, carry, b[..., -1])))\n",
         "",
     ),
     (
@@ -145,15 +151,69 @@ MUTATIONS = [
     (
         "rows: the top rows placed in reverse group order",
         "evolution.py",
-        "top[0, start : start + count] = la\n            top[1, start : start + count] = lb\n",
+        "top[0, start : start + count] = la\n                top[1, start : start + count] = lb\n",
         "top[0, n_rows - start - count : n_rows - start] = la\n"
-        "            top[1, n_rows - start - count : n_rows - start] = lb\n",
+        "                top[1, n_rows - start - count : n_rows - start] = lb\n",
     ),
     (
         "rows: the workspace sized for the first row set only",
         "evolution.py",
         "    for t_rows, steps in row_sets:\n        if steps == 1:\n            continue\n",
         "    for t_rows, steps in row_sets[:1]:\n        if steps == 1:\n            continue\n",
+    ),
+    (
+        "rows: a plan reused for a group with another row count",
+        "evolution.py",
+        "targets, plan, (la, lb) = plans[count]",
+        "targets, plan, (la, lb) = plans[per_group]",
+    ),
+    (
+        "rows: the row build's operands swapped",
+        "evolution.py",
+        "np.multiply(row, columns, out)",
+        "np.multiply(columns, row, out)",
+    ),
+    (
+        "rows: the 32-row rule of the row build inverted",
+        "evolution.py",
+        "list(b) if len(b) <= _ROW_BUILD_ROWS else b",
+        "list(b) if len(b) > _ROW_BUILD_ROWS else b",
+    ),
+    (
+        "pairs: pair_mul's operands swapped",
+        "su2.py",
+        "def pair_mul(a1, b1, a2, b2, out=(None, None)):",
+        "def pair_mul(a2, b2, a1, b1, out=(None, None)):",
+    ),
+    (
+        "pairs: pair_mul's conj moved from b2 to b1",
+        "su2.py",
+        "np.subtract(a1 * a2, b1 * b2.conj(), out=out[0])",
+        "np.subtract(a1 * a2, b1.conj() * b2, out=out[0])",
+    ),
+    (
+        "scan: the operands of each prefix product swapped",
+        "evolution.py",
+        "pair_mul(a[shift:], b[shift:], a[:-shift], b[:-shift])",
+        "pair_mul(a[:-shift], b[:-shift], a[shift:], b[shift:])",
+    ),
+    (
+        "scan: the division of each pass dropped",
+        "evolution.py",
+        "pa, pb = pair_unit(*pair_mul(a[shift:], b[shift:], a[:-shift], b[:-shift]))",
+        "pa, pb = pair_mul(a[shift:], b[shift:], a[:-shift], b[:-shift])",
+    ),
+    (
+        "exact: the sign of the axis component nz flipped",
+        "evolution.py",
+        "(p.omega_rabi / lam, dz / lam)",
+        "(p.omega_rabi / lam, -dz / lam)",
+    ),
+    (
+        "exact: the frame phase conjugated",
+        "evolution.py",
+        "frame = np.exp(-0.5j * w * t)",
+        "frame = np.exp(0.5j * w * t)",
     ),
 ]
 
@@ -168,7 +228,7 @@ def make_copy(workdir: Path, mutation=None) -> Path:
     shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
     if mutation is not None:
         name, file, old, new = mutation
-        path = copy / "src" / "hologate" / file
+        path = copy / SRC.relative_to(ROOT) / file
         text = path.read_text(encoding="utf-8")
         if text.count(old) != 1:
             raise SystemExit(f"{name}: the old text occurs {text.count(old)} times in {file}, not once")
@@ -181,7 +241,10 @@ def run_suite(copy: Path) -> tuple[bool, str, float]:
     suite in ``copy``."""
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+        [
+            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--ignore", "tests/test_mutation_gate.py", "tests",
+        ],
         cwd=copy,
         # the copy's pyproject puts its own src/ on the path
         env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},

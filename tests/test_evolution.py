@@ -145,43 +145,83 @@ def test_pair_product_matches_sequential_matrix_product(length, seed):
     assert max_abs(u.conj().T @ u - I2) <= 1e-15
 
 
+def unit_pairs(rng, shape):
+    """Random SU(2) pairs (a, b) of the given shape."""
+    q = rng.normal(size=(4,) + shape)
+    q /= np.linalg.norm(q, axis=0)
+    return q[0] + 1j * q[3], q[2] + 1j * q[1]
+
+
 @given(
     rows=st.integers(1, 4),
     width=st.integers(1, 300),
     scalar_a=st.booleans(),
     stop=st.sampled_from([1, evolution._TOP_PAIRS]),
+    groups=st.integers(2, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(rows=3, width=257, scalar_a=True, stop=1, seed=0)  # odd on every level: 257, 129, ..., 3
-@example(rows=3, width=257, scalar_a=False, stop=1, seed=0)
-@example(rows=2, width=33, scalar_a=False, stop=evolution._TOP_PAIRS, seed=0)  # 33, 17, then 9
-@example(rows=2, width=16, scalar_a=True, stop=evolution._TOP_PAIRS, seed=0)  # the stop already met
-def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a, stop, seed):
-    # _row_products reduces a group in two level buffers, the second of which
-    # holds the group's b, and writes each level's temporary behind the level;
-    # the final tree makes new arrays. The reference reduces copies of the
-    # inputs, so a level or temporary written over an input or over a level
-    # still being read cannot pass, and the buffers start as NaN, so neither
-    # can a slot left unwritten.
+@example(rows=3, width=257, scalar_a=True, stop=1, groups=2, seed=0)  # odd on every level: 257, 129, ..., 3
+@example(rows=3, width=257, scalar_a=False, stop=1, groups=2, seed=0)
+@example(rows=2, width=33, scalar_a=False, stop=evolution._TOP_PAIRS, groups=3, seed=0)  # 33, 17, 9, then 5
+@example(rows=2, width=8, scalar_a=True, stop=evolution._TOP_PAIRS, groups=2, seed=0)  # the stop already met
+def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a, stop, groups, seed):
+    # _row_products plans a group's tree once, in two level buffers, the
+    # second of which holds the group's b, with each level's temporary behind
+    # the level, and runs that plan on every group of the same row count; the
+    # final tree makes new arrays. Each group here brings new pairs into the
+    # planned inputs, and the reference reduces copies of them, so a level or
+    # temporary written over an input or over a level still being read cannot
+    # pass. The buffers are NaN again before every group, so neither can a
+    # slot left unwritten, nor a plan that holds a value of an earlier group.
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=(4, rows, width))
-    q /= np.linalg.norm(q, axis=0)
-    a, b = q[0] + 1j * q[3], q[2] + 1j * q[1]
-    if scalar_a:  # one a for every pair, as on the rows of _step_factors
-        a = complex(a[0, 0])
-        b *= math.sqrt(1.0 - abs(a) ** 2) / np.abs(b)
-    want_a, want_b = evolution._tree_levels(a if scalar_a else a.copy(), b.copy(), stop)
     first, second = evolution._level_sizes(rows, width, scalar_a)
-    first = np.full(first, np.nan, dtype=complex)
-    second = np.full(max(second, rows * width), np.nan, dtype=complex)
-    if scalar_a:  # the group's b is the second buffer, as in _row_products
-        group = second[: rows * width].reshape(rows, width)
-        group[...] = b
-        b = group
-    got_a, got_b = evolution._tree_levels(a, b, stop, first, second)
-    assert np.shape(got_a) == np.shape(want_a) and got_b.shape == want_b.shape
-    assert got_b.shape[-1] == (evolution._top_width(width) if stop > 1 else 1)
-    assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+    first = np.empty(first, dtype=complex)
+    second = np.empty(max(second, rows * width), dtype=complex)
+    if scalar_a:  # one a for every pair, as on the rows of _step_factors
+        a = complex(unit_pairs(rng, ())[0])
+        b = second[: rows * width].reshape(rows, width)  # the group's b, as in _row_products
+    else:
+        a, b = np.empty((rows, width), dtype=complex), np.empty((rows, width), dtype=complex)
+    plan, (got_a, got_b) = evolution._plan_tree(a, b, stop, first, second)
+    assert got_b.shape == (rows, evolution._top_width(width) if stop > 1 else 1)
+    for _ in range(groups):
+        first.fill(np.nan)
+        second.fill(np.nan)
+        new_a, new_b = unit_pairs(rng, (rows, width))
+        if scalar_a:
+            new_b *= math.sqrt(1.0 - abs(a) ** 2) / np.abs(new_b)
+        else:
+            a[...] = new_a
+        b[...] = new_b
+        want_a, want_b = evolution._tree_levels(a if scalar_a else new_a.copy(), new_b.copy(), stop)
+        evolution._run(plan)
+        assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+
+
+#: (rows, steps) of a group's factors: up to 64 rows, on both sides of the
+#: row-by-row build's limit, and the shapes of 10^4 (in one group) and 10^7
+#: steps. Rows of one step are never built: each is one exact factor.
+group_shapes = st.tuples(st.integers(1, 64), st.integers(2, 600)) | st.sampled_from(
+    [(2048, 16), (2, 16384)]
+)
+
+
+@given(shape=group_shapes, seed=st.integers(0, 2**32 - 1))
+@example(shape=(2048, 16), seed=0)
+@example(shape=(2, 16384), seed=0)
+@example(shape=(evolution._ROW_BUILD_ROWS, 1024), seed=0)  # 10^6 steps: rows built one at a time
+@example(shape=(evolution._ROW_BUILD_ROWS + 1, 1024), seed=0)  # one more row: the broadcast
+def test_group_build_equals_the_broadcast_bit_for_bit(shape, seed):
+    # a row at a time or by one broadcast, the factors of a group must round
+    # as the broadcast product rows[:, None] columns, which the streamed
+    # product has always used; with the column factor first they do not
+    rng = np.random.default_rng(seed)
+    count, steps = shape
+    rows = 0.3 * np.exp(1j * rng.uniform(-math.pi, math.pi, count))
+    columns = np.exp(1j * rng.uniform(-math.pi, math.pi, steps))
+    b = np.full(shape, np.nan, dtype=complex)
+    evolution._build_group(rows, columns, evolution._build_targets(b))
+    assert np.array_equal(b, np.multiply(rows[:, None], columns))
 
 
 # --- closed-form midpoint product -----------------------------------------------------
@@ -379,11 +419,13 @@ def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, block
 def test_propagate_never_holds_every_step_factor():
     # the one-shot product peaks at 76 MB at 10^6 steps (~76 B per step); the
     # streamed one holds one workspace of 2^15 steps, so its peak does not grow
-    # with the step count: measured 1.854 MB at 10^6 and 1.903 MB at 10^7
-    # steps, where the rows are 16x longer and their column exponential and
-    # its temporaries (~0.5 MB) outweigh the 10^6 set's larger top rows. The
-    # bound is the 10^6 peak plus 4.6%; a separate temporary or a third level
-    # buffer of 256 KiB exceeds it
+    # with the step count: measured 1.397 MB at 10^6 and 1.495 MB at 10^7
+    # steps, where the rows are 16x longer and their column exponential
+    # (256 KiB) outweighs the 10^6 set's larger stopped rows. The bound is the
+    # 10^6 peak plus 4.5%; a build of 32 rows of 1,024 steps that keeps
+    # numpy's 263 KB of iterator buffers, stopped rows of 16 pairs or a
+    # separate temporary exceed it. The 10^7 clause holds by 2.6 KB (ROADMAP
+    # item 6)
     p = params_from_beta(HolonomicGate(0.423))
     peaks = []
     for steps in (10**6, 10**7):
@@ -393,7 +435,7 @@ def test_propagate_never_holds_every_step_factor():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 1.94e6
+    assert peaks[0] <= 1.46e6
     assert peaks[1] <= peaks[0] + 1e5
 
 
