@@ -52,10 +52,10 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 #: Largest ``verify --steps``. The integrator streams its step factors, so a
-#: verify run peaks at ~1.4 MB at 10^6 steps and ~1.5 MB at 10^7 (tracemalloc),
-#: where only the 256 KiB column exponential of its 2^14-step rows grows with
-#: the count; the cap bounds its time, 0.09-0.11 s at 10^7 steps (in process,
-#: medians of 5 on a 2-core Xeon), not its memory.
+#: verify run peaks at ~1.4 MB at 10^6 and at 10^7 steps (tracemalloc): the
+#: 256 KiB column exponential of the 2^14-step rows is offset by the fewer
+#: stopped rows held beside it. The cap bounds its time, 0.09-0.11 s at 10^7
+#: steps (in process, medians on a 2-core Xeon), not its memory.
 MAX_VERIFY_STEPS = 10_000_000
 #: Largest ``trajectory --samples``. One beta peaks at ~700 B per sample
 #: (tracemalloc, 10^5 samples), so the cap bounds it at ~0.7 GB; the rows are

@@ -18,13 +18,14 @@ factors of a group of about ``_GROUP_STEPS`` steps are built as rows of whole
 blocks and each row is reduced by the tree along its last axis, every level
 written into one workspace allocated once per call, so only one cache-sized
 group is ever held: a ``verify`` peaks at ~1.4 MB (tracemalloc) at 10^6 and
-~1.5 MB at 10^7 steps. The views of a group's levels in the workspace are
-planned once per row count and reused by every group of that count. Inside a
-row the drive phase factors exactly into a row and a column exponential, so
-a factor costs one complex multiply instead of a sin and a cos; ``a`` is the
-same for every factor, so the first level takes it as one complex number.
-When the rows span several groups, each group stops at ``_TOP_PAIRS`` pairs
-per row and the narrow top levels run once over all the rows. The block
+10^7 steps alike. The first group of each row count records the calls of its
+levels, and every later group of that count replays them on the same views.
+Inside a row the drive phase factors exactly into a row and a column
+exponential, so a factor costs one complex multiply instead of a sin and a
+cos; ``a`` is the same for every factor, so the first level takes it as one
+complex number. When the rows span several groups, each group stops at
+``_TOP_PAIRS`` pairs per row and the narrow top levels run once over the
+stopped rows of ``_FINISH_STEPS`` steps at a time. The block
 pairs are the level that one tree over all the steps would pass through,
 each the divided root of its row's tree, and the same tree finishes the
 product over them and divides its own root.
@@ -77,19 +78,26 @@ _SCAN_BLOCKS = 1024
 _GROUP_STEPS = 2**15
 
 #: Pairs per row at or below which a group's tree stops when its set spans
-#: several groups; the rest of the tree runs once over all rows of the set.
-#: The stopped rows are held until then: 250 KB at 10^6 steps (976 rows of 8
-#: pairs) against 500 KB at 16 pairs. The extra narrow level that each group
-#: then runs is paid for by its planned views (``_plan_tree``).
-_TOP_PAIRS = 8
+#: several groups; the rest of the tree then runs once over the stopped rows
+#: of many groups (``_FINISH_STEPS``), one call per level instead of one per
+#: group. A stop at 8 pairs held half as many stopped rows, but its extra
+#: level in every group made ``propagate`` ~1% slower at 10^5 steps.
+_TOP_PAIRS = 16
 
-#: Rows at or below which a group's factors are built one row at a time
-#: rather than by one broadcast (``_build_group``): groups of rows of at least
-#: ~1,024 steps, which the 10^6- and 10^7-step products have.
+#: Steps whose stopped rows are finished together, in whole groups, so that
+#: the stopped rows held at once take 2^24 / steps entries for rows of
+#: ``steps`` pairs: 256 KiB at 10^6 steps (512 of the 976 rows) instead of
+#: 500 KB, and 16 KiB at 10^7, beside the 256 KiB column exponential of the
+#: 2^14-step rows. The two together take at most 17,408 entries (272 KiB)
+#: for rows of 1,024 to 16,384 steps, so the peak does not grow from 10^6 to
+#: 10^7 steps. A finishing pass costs ~45 us, under 1% of the time to reduce
+#: 2^19 steps.
+_FINISH_STEPS = 2**19
+
+#: Rows per group at or below which a set's factors are built one row at a
+#: time rather than by one broadcast per group (``_build_group``): sets of
+#: rows of at least ~1,024 steps, which the 10^6- and 10^7-step products have.
 _ROW_BUILD_ROWS = 32
-
-#: Steps per row from which a broadcast build runs without numpy's buffers.
-_UNBUFFERED_STEPS = 128
 
 #: Nodes at which ``_phase_quadrature`` evaluates the phase integrands.
 _QUADRATURE_NODES = 17
@@ -177,21 +185,20 @@ def _level_sizes(rows: int, width: int, scalar_a: bool) -> tuple[int, int]:
     return rows * (2 * first + (0 if scalar_a else width // 2)), rows * (2 * second + first // 2)
 
 
-def _pair_level(a, b: np.ndarray, out: np.ndarray | None):
-    """Plan of one level of the pair tree along the last axis: pair j of the
-    level is pair 2j + 1 times pair 2j by the formula of ``pair_mul``, and an
-    odd last pair is carried unchanged into the last slot. Returns
-    (plan, (a, b)): the calls that write the level, as (function, operands)
-    for ``_run``, and the level they write: ``_array_level`` or
-    ``_scalar_level``, then ``_carry`` for an odd width. The operands are
-    views, so the plan can be run again whenever new pairs stand in the same
-    places.
+def _pair_level(a, b: np.ndarray, out: np.ndarray | None, plan: list | None = None):
+    """One level of the pair tree along the last axis: pair j of the level is
+    pair 2j + 1 times pair 2j by the formula of ``pair_mul``, and an odd last
+    pair is carried unchanged into the last slot. Returns the level (a, b).
 
     The level is written contiguously into the 1-D buffer ``out``, its a
     before its b and its temporary right behind them; ``out`` may not overlap
     the pairs read. Without a buffer the level and its temporary are new
     arrays, which costs less than making views for the few pairs of a final
-    tree.
+    tree. When ``plan`` is a list, the calls that wrote the level are
+    appended to it as (function, operands) for ``_run``: ``_array_level`` or
+    ``_scalar_level``, then ``_carry`` for an odd width. The operands are
+    views, so the calls write the level again whenever new pairs stand in
+    the same places.
 
     ``a`` is an array shaped like ``b``, or one complex number shared by
     every pair, as on the first level over ``_step_factors``' rows: then
@@ -213,16 +220,22 @@ def _pair_level(a, b: np.ndarray, out: np.ndarray | None):
             t = np.empty(t_shape, dtype=complex)
         else:
             t = out[level.size : level.size + math.prod(t_shape)].reshape(t_shape)
-        plan = [(_array_level, (a[..., 1::2], b1, a[..., : 2 * n : 2], b0, pa, pb, t))]
+        function, operands = _array_level, (a[..., 1::2], b1, a[..., : 2 * n : 2], b0, pa, pb, t)
         carry = a[..., -1]
     else:
         # a a by numpy's loop, which may fuse multiply and add, so that it
         # rounds as the array product does; Python's complex multiply does not
-        plan = [(_scalar_level, (a, a.conjugate(), np.multiply(np.asarray(a), a), b1, b0, pa, pb))]
+        function, operands = _scalar_level, (a, a.conjugate(), np.multiply(np.asarray(a), a), b1, b0, pa, pb)
         carry = a
+    function(*operands)
+    if plan is not None:
+        plan.append((function, operands))
     if width % 2:
-        plan.append((_carry, (la, lb, n, carry, b[..., -1])))
-    return plan, (la, lb)
+        carried = la, lb, n, carry, b[..., -1]
+        _carry(*carried)
+        if plan is not None:
+            plan.append((_carry, carried))
+    return la, lb
 
 
 def _array_level(
@@ -231,7 +244,7 @@ def _array_level(
     """(pa, pb) = (a1, b1) times (a0, b0) by the formula of ``pair_mul``, in
     8 array passes through the temporary ``t``. The ufuncs are bound as
     defaults, since on the narrow levels of a tree looking them up on ``np``
-    costs about as much as the plan saves."""
+    costs about as much as a replayed level saves."""
     conj(b0, pa)
     mul(b1, pa, t)
     mul(a1, a0, pb)
@@ -262,34 +275,26 @@ def _carry(la, lb, n, a, b) -> None:
     lb[..., n] = b
 
 
-def _plan_tree(a, b: np.ndarray, stop: int, first=None, second=None):
-    """(plan, (a, b)): the plans of the ``_pair_level`` levels that reduce
-    the pairs (a, b) along the last axis until at most ``stop`` pairs per
-    row remain, in order, and the last level, which is (a, b) when ``stop``
-    is already met. The odd levels go into the 1-D buffer ``first`` and the
-    even ones into ``second`` (see ``_level_sizes``), or into new arrays
-    without buffers. ``second`` may hold the pairs (a, b) themselves, since
-    the first level has read them before the second is written."""
-    plan = []
+def _tree_levels(a, b: np.ndarray, stop: int, first=None, second=None, plan=None):
+    """Reduce the pairs (a, b) along the last axis by ``_pair_level`` until
+    at most ``stop`` pairs per row remain, writing the odd levels into the
+    1-D buffer ``first`` and the even ones into ``second`` (see
+    ``_level_sizes``), or into new arrays without buffers, and appending
+    their calls to the list ``plan`` if one is given; returns the last
+    level, which is (a, b) when ``stop`` is already met. ``second`` may hold
+    the pairs (a, b) themselves, since the first level has read them before
+    the second is written."""
     out, spare = first, second
     while b.shape[-1] > stop:
-        level, (a, b) = _pair_level(a, b, out)
-        plan += level
+        a, b = _pair_level(a, b, out, plan)
         out, spare = spare, out
-    return plan, (a, b)
+    return a, b
 
 
 def _run(plan) -> None:
     """Make the calls of a plan, in order."""
     for function, operands in plan:
         function(*operands)
-
-
-def _tree_levels(a, b: np.ndarray, stop: int, first=None, second=None):
-    """Run the plan of ``_plan_tree`` once; returns its last level."""
-    plan, level = _plan_tree(a, b, stop, first, second)
-    _run(plan)
-    return level
 
 
 def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,10 +325,20 @@ def _top_width(steps: int) -> int:
     return steps
 
 
-def _build_targets(b: np.ndarray):
-    """Where ``_build_group`` writes the factors of a group: the rows of its
-    ``b`` when it has at most ``_ROW_BUILD_ROWS`` rows, else ``b`` itself."""
-    return list(b) if len(b) <= _ROW_BUILD_ROWS else b
+def _finished_rows(steps: int, per_group: int) -> int:
+    """Rows of ``steps`` pairs whose stopped rows are finished together: the
+    whole groups of ``per_group`` rows in ``_FINISH_STEPS`` steps, at least
+    one."""
+    return per_group * max(1, _FINISH_STEPS // (per_group * steps))
+
+
+def _build_targets(b: np.ndarray, group_rows: int):
+    """Where ``_build_group`` writes the factors of a group of a set whose
+    groups have at most ``group_rows`` rows: the rows of its ``b`` when that
+    is at most ``_ROW_BUILD_ROWS``, else ``b`` itself. A set's short last
+    group is built as its other groups are: once they have allocated
+    numpy's buffers, a row loop over the last one saves no memory."""
+    return list(b) if group_rows <= _ROW_BUILD_ROWS else b
 
 
 def _build_group(rows: np.ndarray, columns: np.ndarray, targets) -> None:
@@ -334,23 +349,14 @@ def _build_group(rows: np.ndarray, columns: np.ndarray, targets) -> None:
 
     numpy runs a broadcast whose rows are shorter than its ufunc buffer
     (8,192 entries) through two such buffers, allocated on every call
-    (263 KB). That pays on rows of a few steps, but from
-    ``_UNBUFFERED_STEPS`` on it only copies, so there the broadcast runs
-    with the buffer turned down below a row: 33 instead of 60 us on 256 rows
-    of 128 steps. The row loop costs ~1 us per row, 5-32x the broadcast on
-    groups of many short rows.
+    (263 KB); a multiply of one row by the columns needs none. The row loop
+    costs ~1 us per row, 5-32x the broadcast on groups of many short rows.
     """
     if isinstance(targets, list):
         for row, out in zip(rows, targets):
             np.multiply(row, columns, out)
-    elif len(columns) < _UNBUFFERED_STEPS:
-        np.multiply(rows[:, None], columns, targets)
     else:
-        size = np.setbufsize(16)
-        try:
-            np.multiply(rows[:, None], columns, targets)
-        finally:
-            np.setbufsize(size)
+        np.multiply(rows[:, None], columns, targets)
 
 
 def _workspace_sizes(row_sets) -> tuple[int, int, int]:
@@ -367,8 +373,8 @@ def _workspace_sizes(row_sets) -> tuple[int, int, int]:
         group = _level_sizes(rows, steps, scalar_a=True)
         need = tuple(map(max, need, (group[0], max(rows * steps, group[1]), 0)))
         if n_rows > per_group:
-            top = _top_width(steps)
-            top_sizes = (*_level_sizes(n_rows, top, scalar_a=False), 2 * n_rows * top)
+            top, held = _top_width(steps), min(n_rows, _finished_rows(steps, per_group))
+            top_sizes = (*_level_sizes(held, top, scalar_a=False), 2 * held * top)
             need = tuple(map(max, need, top_sizes))
     return need
 
@@ -382,11 +388,12 @@ def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.n
     first level takes ``a`` as one complex number. A set of one group is
     reduced to its roots at once. Otherwise every group stops at
     ``_TOP_PAIRS`` pairs per row or fewer, and the rest of the tree runs
-    once over all rows of the set, in the same association order. A set's
-    groups have at most two row counts, the full one and the last group's,
-    and each count's tree is planned once: every group of that count runs
-    the same calls on the same views. All of it happens in one workspace
-    allocated for all the sets (``_workspace_sizes``).
+    once over the stopped rows of ``_finished_rows`` rows at a time, in the
+    same association order. A set's groups have at most two row counts, the
+    full one and the last group's; the first group of each count records
+    the calls of its tree, and every later group of that count replays them
+    on the same views. All of it happens in one workspace allocated for all
+    the sets (``_workspace_sizes``).
     """
     need = _workspace_sizes(row_sets)
     work = None
@@ -414,29 +421,39 @@ def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.n
             work = np.empty(sum(need), dtype=complex)
             ends = accumulate(need)
             first, b_work, top_work = (work[end - n : end] for n, end in zip(need, ends))
-        stop = 1 if n_rows <= per_group else _TOP_PAIRS
-        if stop > 1:
-            top = top_work[: 2 * n_rows * _top_width(steps)].reshape(2, n_rows, -1)
+        several = n_rows > per_group
+        stop = _TOP_PAIRS if several else 1
+        held = _finished_rows(steps, per_group) if several else n_rows
         plans = {}
-        for start in range(0, n_rows, per_group):
-            count = min(per_group, n_rows - start)
-            if count not in plans:
-                b = b_work[: count * steps].reshape(count, steps)
-                plans[count] = _build_targets(b), *_plan_tree(a, b, stop, first, b_work)
-            targets, plan, (la, lb) = plans[count]
-            _build_group(rows[start : start + count], columns, targets)
-            _run(plan)
-            if stop > 1:
-                top[0, start : start + count] = la
-                top[1, start : start + count] = lb
-        # The column exponential goes before the rest of the set's tree and
-        # the next set's factors are built, so that none of them stacks on it.
-        del columns
-        if stop > 1:  # every group stopped at _TOP_PAIRS: finish all the rows at once
-            la, lb = _tree_levels(top[0], top[1], 1, first, b_work)
-        pa, pb = pair_unit(la[..., 0], lb[..., 0])
-        a_sets.append(pa)
-        b_sets.append(pb)
+        for chunk in range(0, n_rows, held):
+            chunk_rows = min(held, n_rows - chunk)
+            if several:
+                top = top_work[: 2 * chunk_rows * _top_width(steps)].reshape(2, chunk_rows, -1)
+            for start in range(chunk, chunk + chunk_rows, per_group):
+                count = min(per_group, n_rows - start)
+                group = plans.get(count)
+                if group is None:
+                    b = b_work[: count * steps].reshape(count, steps)
+                    targets, plan = _build_targets(b, min(n_rows, per_group)), []
+                    _build_group(rows[start : start + count], columns, targets)
+                    group = plans[count] = targets, plan, _tree_levels(a, b, stop, first, b_work, plan)
+                else:
+                    _build_group(rows[start : start + count], columns, group[0])
+                    _run(group[1])
+                la, lb = group[2]
+                if several:
+                    top[0, start - chunk : start - chunk + count] = la
+                    top[1, start - chunk : start - chunk + count] = lb
+            if chunk + held >= n_rows:
+                # The column exponential goes before the last pass over the
+                # stopped rows and the next set's factors are built, so that
+                # none of them stacks on it.
+                del columns
+            if several:  # every group stopped at _TOP_PAIRS: finish the chunk's rows at once
+                la, lb = _tree_levels(top[0], top[1], 1, first, b_work)
+            pa, pb = pair_unit(la[..., 0], lb[..., 0])
+            a_sets.append(pa)
+            b_sets.append(pb)
     if len(a_sets) == 1:  # nothing to join
         return a_sets[0], b_sets[0]
     return np.concatenate(a_sets), np.concatenate(b_sets)

@@ -115,8 +115,15 @@ MUTATIONS = [
     (
         "tree: the odd-carry slot left unwritten",
         "evolution.py",
-        "    if width % 2:\n        plan.append((_carry, (la, lb, n, carry, b[..., -1])))\n",
+        "    if width % 2:\n        carried = la, lb, n, carry, b[..., -1]\n        _carry(*carried)\n"
+        "        if plan is not None:\n            plan.append((_carry, carried))\n",
         "",
+    ),
+    (
+        "tree: the odd carry left out of the recorded calls",
+        "evolution.py",
+        "            plan.append((_carry, carried))\n",
+        "            pass\n",
     ),
     (
         "tree: the scalar level's a a changed to a conj(a)",
@@ -151,9 +158,16 @@ MUTATIONS = [
     (
         "rows: the top rows placed in reverse group order",
         "evolution.py",
-        "top[0, start : start + count] = la\n                top[1, start : start + count] = lb\n",
-        "top[0, n_rows - start - count : n_rows - start] = la\n"
-        "                top[1, n_rows - start - count : n_rows - start] = lb\n",
+        "top[0, start - chunk : start - chunk + count] = la\n"
+        "                    top[1, start - chunk : start - chunk + count] = lb\n",
+        "top[0, chunk + chunk_rows - start - count : chunk + chunk_rows - start] = la\n"
+        "                    top[1, chunk + chunk_rows - start - count : chunk + chunk_rows - start] = lb\n",
+    ),
+    (
+        "rows: the stopped rows of a set finished in one pass",
+        "evolution.py",
+        "held = _finished_rows(steps, per_group) if several else n_rows",
+        "held = n_rows",
     ),
     (
         "rows: the workspace sized for the first row set only",
@@ -164,8 +178,8 @@ MUTATIONS = [
     (
         "rows: a plan reused for a group with another row count",
         "evolution.py",
-        "targets, plan, (la, lb) = plans[count]",
-        "targets, plan, (la, lb) = plans[per_group]",
+        "group = plans.get(count)",
+        "group = plans.get(per_group)",
     ),
     (
         "rows: the row build's operands swapped",
@@ -176,8 +190,8 @@ MUTATIONS = [
     (
         "rows: the 32-row rule of the row build inverted",
         "evolution.py",
-        "list(b) if len(b) <= _ROW_BUILD_ROWS else b",
-        "list(b) if len(b) > _ROW_BUILD_ROWS else b",
+        "list(b) if group_rows <= _ROW_BUILD_ROWS else b",
+        "list(b) if group_rows > _ROW_BUILD_ROWS else b",
     ),
     (
         "pairs: pair_mul's operands swapped",

@@ -162,17 +162,18 @@ def unit_pairs(rng, shape):
 )
 @example(rows=3, width=257, scalar_a=True, stop=1, groups=2, seed=0)  # odd on every level: 257, 129, ..., 3
 @example(rows=3, width=257, scalar_a=False, stop=1, groups=2, seed=0)
-@example(rows=2, width=33, scalar_a=False, stop=evolution._TOP_PAIRS, groups=3, seed=0)  # 33, 17, 9, then 5
-@example(rows=2, width=8, scalar_a=True, stop=evolution._TOP_PAIRS, groups=2, seed=0)  # the stop already met
+@example(rows=2, width=33, scalar_a=False, stop=evolution._TOP_PAIRS, groups=3, seed=0)  # 33, 17, then 9
+@example(rows=2, width=16, scalar_a=True, stop=evolution._TOP_PAIRS, groups=2, seed=0)  # the stop already met
 def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a, stop, groups, seed):
-    # _row_products plans a group's tree once, in two level buffers, the
-    # second of which holds the group's b, with each level's temporary behind
-    # the level, and runs that plan on every group of the same row count; the
-    # final tree makes new arrays. Each group here brings new pairs into the
-    # planned inputs, and the reference reduces copies of them, so a level or
-    # temporary written over an input or over a level still being read cannot
-    # pass. The buffers are NaN again before every group, so neither can a
-    # slot left unwritten, nor a plan that holds a value of an earlier group.
+    # _row_products runs the tree of a set's first group in two level
+    # buffers, the second of which holds the group's b, with each level's
+    # temporary behind the level, records its calls, and replays them on
+    # every later group of the same row count; the final tree makes new
+    # arrays. Each group here brings new pairs into the recorded inputs, and
+    # the reference reduces copies of them, so a level or temporary written
+    # over an input or over a level still being read cannot pass. The buffers
+    # are NaN again before every group, so neither can a slot left unwritten,
+    # nor a recorded call that holds a value of an earlier group.
     rng = np.random.default_rng(seed)
     first, second = evolution._level_sizes(rows, width, scalar_a)
     first = np.empty(first, dtype=complex)
@@ -182,8 +183,7 @@ def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a
         b = second[: rows * width].reshape(rows, width)  # the group's b, as in _row_products
     else:
         a, b = np.empty((rows, width), dtype=complex), np.empty((rows, width), dtype=complex)
-    plan, (got_a, got_b) = evolution._plan_tree(a, b, stop, first, second)
-    assert got_b.shape == (rows, evolution._top_width(width) if stop > 1 else 1)
+    plan = None
     for _ in range(groups):
         first.fill(np.nan)
         second.fill(np.nan)
@@ -194,7 +194,12 @@ def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a
             a[...] = new_a
         b[...] = new_b
         want_a, want_b = evolution._tree_levels(a if scalar_a else new_a.copy(), new_b.copy(), stop)
-        evolution._run(plan)
+        if plan is None:  # the first group runs the tree and records it
+            plan = []
+            got_a, got_b = evolution._tree_levels(a, b, stop, first, second, plan)
+            assert got_b.shape == (rows, evolution._top_width(width) if stop > 1 else 1)
+        else:
+            evolution._run(plan)
         assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
 
 
@@ -220,8 +225,27 @@ def test_group_build_equals_the_broadcast_bit_for_bit(shape, seed):
     rows = 0.3 * np.exp(1j * rng.uniform(-math.pi, math.pi, count))
     columns = np.exp(1j * rng.uniform(-math.pi, math.pi, steps))
     b = np.full(shape, np.nan, dtype=complex)
-    evolution._build_group(rows, columns, evolution._build_targets(b))
+    evolution._build_group(rows, columns, evolution._build_targets(b, count))
     assert np.array_equal(b, np.multiply(rows[:, None], columns))
+
+
+@pytest.mark.parametrize("shape", [(32, 1024), (2, 16384)], ids=["1e6", "1e7"])
+def test_group_build_of_long_rows_allocates_no_ufunc_buffers(shape):
+    # numpy runs the broadcast build through two ufunc buffers (263 KB),
+    # allocated on every call; the groups of the 10^6- and 10^7-step products
+    # are built a row at a time, which needs none
+    rng = np.random.default_rng(0)
+    count, steps = shape
+    rows = 0.3 * np.exp(1j * rng.uniform(-math.pi, math.pi, count))
+    columns = np.exp(1j * rng.uniform(-math.pi, math.pi, steps))
+    targets = evolution._build_targets(np.empty(shape, dtype=complex), count)
+    tracemalloc.start()
+    try:
+        evolution._build_group(rows, columns, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e4
 
 
 # --- closed-form midpoint product -----------------------------------------------------
@@ -373,22 +397,37 @@ short_blocks = st.integers(1, 64).flatmap(
 )
 
 
-@given(p=any_drives, blocks_steps=short_blocks, group_steps=st.integers(1, 256))
-@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 3000), group_steps=1)  # 46 groups of one row
-@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 3000), group_steps=256)  # groups of 4 rows, the last of 2
-@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 2065), group_steps=100)  # 33 blocks, 17-step last block
-@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 40), group_steps=2)  # rows of one step
-@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(64, 700), group_steps=16)  # groups stopped before a level
-@example(p=DriveParams(1.0, 1.0, 1.0), blocks_steps=(1, 63), group_steps=7)  # no full block
-@example(p=CORNER, blocks_steps=(64, 1236), group_steps=256)  # 4.72e-15 from the one-shot product
-def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, blocks_steps, group_steps):
+#: The drive of the grouping examples.
+UNIT = DriveParams(1.0, 1.0, 1.0)
+
+#: Steps of the finishing passes of the default product: one pass per set here.
+ONE_PASS = evolution._FINISH_STEPS
+
+
+@given(
+    p=any_drives,
+    blocks_steps=short_blocks,
+    group_steps=st.integers(1, 256),
+    finish_steps=st.integers(1, 2**12) | st.just(ONE_PASS),
+)
+@example(p=UNIT, blocks_steps=(64, 3000), group_steps=1, finish_steps=ONE_PASS)  # 46 groups of one row
+@example(p=UNIT, blocks_steps=(64, 3000), group_steps=256, finish_steps=ONE_PASS)  # groups of 4 rows, the last of 2
+@example(p=UNIT, blocks_steps=(64, 3000), group_steps=256, finish_steps=512)  # passes of 8 rows, the last of 6
+@example(p=UNIT, blocks_steps=(64, 3000), group_steps=1, finish_steps=1)  # a pass per group
+@example(p=UNIT, blocks_steps=(64, 2065), group_steps=100, finish_steps=ONE_PASS)  # 33 blocks, 17-step last block
+@example(p=UNIT, blocks_steps=(64, 40), group_steps=2, finish_steps=ONE_PASS)  # rows of one step
+@example(p=UNIT, blocks_steps=(64, 700), group_steps=16, finish_steps=ONE_PASS)  # groups stopped before a level
+@example(p=UNIT, blocks_steps=(1, 63), group_steps=7, finish_steps=ONE_PASS)  # no full block
+@example(p=CORNER, blocks_steps=(64, 1236), group_steps=256, finish_steps=ONE_PASS)  # 4.72e-15 from the one-shot product
+def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, blocks_steps, group_steps, finish_steps):
     # Groups of 1-256 steps reach every path of the streamed product at a few
     # thousand steps: many groups and a short last one, rows stopped at 16
-    # pairs and finished together, odd widths on every level (33 and 17 are
-    # 2^k + 1), rows of one step, and an empty first set when one block holds
-    # all the steps. With the default blocks (at most 4 steps here) the product
-    # and its level meet the one-shot bound of the test above. Longer blocks
-    # take the rows through the stopped groups and the finishing pass, but
+    # pairs and finished together, in one pass or in passes of whole groups
+    # over 1-4,096 steps, odd widths on every level (33 and 17 are 2^k + 1),
+    # rows of one step, and an empty first set when one block holds all the
+    # steps. With the default blocks (at most 4 steps here) the product and
+    # its level meet the one-shot bound of the test above. Longer blocks
+    # take the rows through the stopped groups and the finishing passes, but
     # there the one-shot tree, which divides every level, parts from the
     # streamed one by more than that bound (4.8e-15 at 64-step blocks on the
     # corner drive, as with the product that allocated every group's levels),
@@ -403,7 +442,7 @@ def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, block
     with mock.patch.object(evolution, "_SCAN_BLOCKS", max_blocks):
         want_level = evolution._scan_level(p, p.period, steps)
         want_u = propagate(p, p.period, steps)
-    with mock.patch.object(evolution, "_GROUP_STEPS", group_steps):
+    with mock.patch.multiple(evolution, _GROUP_STEPS=group_steps, _FINISH_STEPS=finish_steps):
         got_size, got_a, got_b = evolution._scan_level(p, p.period, steps)
         assert max_abs(propagate(p, p.period, steps) - pair_matrix(a, b)) <= bound
         assert got_size == size and got_a.shape == la.shape
@@ -419,13 +458,12 @@ def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, block
 def test_propagate_never_holds_every_step_factor():
     # the one-shot product peaks at 76 MB at 10^6 steps (~76 B per step); the
     # streamed one holds one workspace of 2^15 steps, so its peak does not grow
-    # with the step count: measured 1.397 MB at 10^6 and 1.495 MB at 10^7
+    # with the step count: measured 1.408 MB at 10^6 and 1.379 MB at 10^7
     # steps, where the rows are 16x longer and their column exponential
-    # (256 KiB) outweighs the 10^6 set's larger stopped rows. The bound is the
-    # 10^6 peak plus 4.5%; a build of 32 rows of 1,024 steps that keeps
-    # numpy's 263 KB of iterator buffers, stopped rows of 16 pairs or a
-    # separate temporary exceed it. The 10^7 clause holds by 2.6 KB (ROADMAP
-    # item 6)
+    # (256 KiB) is offset by holding 16x fewer stopped rows at once. The bound
+    # is the 10^6 peak plus 3.7%; a build of 32 rows of 1,024 steps that keeps
+    # numpy's 263 KB of iterator buffers, all 976 stopped rows held for one
+    # finishing pass, or a separate temporary exceed it
     p = params_from_beta(HolonomicGate(0.423))
     peaks = []
     for steps in (10**6, 10**7):
