@@ -206,26 +206,12 @@ def _parse_drive(text: str) -> DriveParams:
     return DriveParams(rabi, detuning, 1.0)
 
 
-def _cmd_verify(args) -> tuple[RunReport, int]:
-    if (args.beta is None) == (args.drive is None):
-        raise ValueError("give exactly one of --beta or --drive")
-    if args.steps > MAX_VERIFY_STEPS:
-        raise ValueError(f"steps must be <= {MAX_VERIFY_STEPS}, got {args.steps}")
-    if args.beta is not None:
-        p = params_from_beta(HolonomicGate(args.beta))
-        analytic = analytic_gate(HolonomicGate(args.beta))
-        params = {"beta": args.beta, "steps": args.steps}
-    else:
-        p = _parse_drive(args.drive)
-        analytic = None
-        params = {"drive": args.drive, "steps": args.steps}
-
-    rep = full_report(p, args.steps)
+def verify_checks(p: DriveParams, steps: int, analytic=None) -> tuple[dict, dict]:
+    """``verify`` on drive ``p`` at ``steps`` steps, in ``--machine`` order: (values,
+    {check: (value, bound)}). ``analytic``, the gate to match, adds analytic_agreement."""
+    rep = full_report(p, steps)
     alpha_cf = lr_phase(p, p.period)
-
-    report = RunReport("verify", params=params)
-    v = report.values
-    v["lam"] = eigensystem(p, 0.0).lam
+    v = {"lam": eigensystem(p, 0.0).lam}
     for label, pair in (
         ("gamma_geometric", rep.gamma_geometric),
         ("gamma_dynamical", rep.gamma_dynamical),
@@ -251,26 +237,41 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
     )
     if analytic is not None:
         v["analytic_gate_error"] = max_abs(rep.propagator - analytic)
+    _put_matrix(v, "u", rep.propagator)
 
-    measured = {
-        "unitarity": v["unitarity_defect"],
-        "holonomy_integrand": rep.max_integrand,
-        "dynamical_phase": max(map(abs, rep.gamma_dynamical)),
-        "trajectory_dynamical_phase": max(map(abs, rep.gamma_dynamical_trajectory)),
-        "total_phase": v["alpha_error"],
-        "aa_correspondence": v["aa_error"],
-        "spectral_agreement": v["spectral_error"],
-        "spectral_exact": v["spectral_exact_error"],
-        "transitionless": rep.transitionless_defect,
-        "invariant_equation": v["invariant_residual"],
+    checks = {
+        "unitarity": (v["unitarity_defect"], CHECK_BOUNDS["unitarity"]),
+        "holonomy_integrand": (rep.max_integrand, CHECK_BOUNDS["holonomy_integrand"]),
+        "dynamical_phase": (max(map(abs, rep.gamma_dynamical)), CHECK_BOUNDS["dynamical_phase"]),
+        "trajectory_dynamical_phase": (
+            max(map(abs, rep.gamma_dynamical_trajectory)),
+            TRAJECTORY_PHASE_COEFF * (p.period / steps) ** 2,
+        ),
+        "total_phase": (v["alpha_error"], CHECK_BOUNDS["total_phase"]),
+        "aa_correspondence": (v["aa_error"], CHECK_BOUNDS["aa_correspondence"]),
+        "spectral_agreement": (v["spectral_error"], CHECK_BOUNDS["spectral_agreement"]),
+        "spectral_exact": (v["spectral_exact_error"], CHECK_BOUNDS["spectral_exact"]),
+        "transitionless": (rep.transitionless_defect, CHECK_BOUNDS["transitionless"]),
+        "invariant_equation": (v["invariant_residual"], CHECK_BOUNDS["invariant_equation"]),
     }
     if analytic is not None:
-        measured["analytic_agreement"] = v["analytic_gate_error"]
-    trajectory_bound = TRAJECTORY_PHASE_COEFF * (p.period / args.steps) ** 2
-    bounds = dict(CHECK_BOUNDS, trajectory_dynamical_phase=trajectory_bound)
-    for name, value in measured.items():
-        report.check(name, value, bounds[name])
-    _put_matrix(report.values, "u", rep.propagator)
+        checks["analytic_agreement"] = v["analytic_gate_error"], CHECK_BOUNDS["analytic_agreement"]
+    return v, checks
+
+
+def _cmd_verify(args) -> tuple[RunReport, int]:
+    if (args.beta is None) == (args.drive is None):
+        raise ValueError("give exactly one of --beta or --drive")
+    if args.steps > MAX_VERIFY_STEPS:
+        raise ValueError(f"steps must be <= {MAX_VERIFY_STEPS}, got {args.steps}")
+    if args.beta is not None:
+        gate = HolonomicGate(args.beta)
+        p, analytic = params_from_beta(gate), analytic_gate(gate)
+        params = {"beta": args.beta, "steps": args.steps}
+    else:
+        p, analytic = _parse_drive(args.drive), None
+        params = {"drive": args.drive, "steps": args.steps}
+    report = RunReport("verify", params, *verify_checks(p, args.steps, analytic))
     return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

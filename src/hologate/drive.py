@@ -28,7 +28,7 @@ the elementary building block composed by :mod:`hologate.synthesis`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,11 +47,18 @@ class DriveParams:
 
     All three are angular frequencies in rad/time; only the ratios to
     ``omega_drive`` matter physically.
+
+    ``offset`` is the rotating-frame detuning Delta - w that every closed form
+    reads. It is ``detuning - omega_drive`` unless :func:`params_from_beta`
+    stores the exact -w sin^2(beta): near beta = 0, Delta = w cos^2(beta)
+    holds only ~eps w of the difference, and the stored triple would miss the
+    holonomy condition by more than rounding. It takes no part in ``==``.
     """
 
     omega_rabi: float
     detuning: float
     omega_drive: float = 1.0
+    offset: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fields = {name: getattr(self, name) for name in ("omega_rabi", "detuning", "omega_drive")}
@@ -70,6 +77,7 @@ class DriveParams:
             raise ValueError(f"omega_drive must be > 0, got {self.omega_drive}")
         if self.omega_rabi < 0:
             raise ValueError(f"omega_rabi must be >= 0, got {self.omega_rabi}")
+        object.__setattr__(self, "offset", self.detuning - self.omega_drive)
 
     @property
     def period(self) -> float:
@@ -129,7 +137,7 @@ def hamiltonian(p: DriveParams, t: float) -> np.ndarray:
 def invariant(p: DriveParams, t: float) -> np.ndarray:
     """Dynamical invariant of the drive at time t; Hermitian and traceless."""
     off = p.omega_rabi * np.exp(-1j * p.omega_drive * t)
-    dz = p.detuning - p.omega_drive
+    dz = p.offset
     return np.array([[dz, off], [off.conjugate(), -dz]], dtype=complex)
 
 
@@ -140,7 +148,7 @@ def _theta_pairs(p: DriveParams) -> tuple[float, tuple[float, float], tuple[floa
     cancellation-free form of xi = [(Delta - w) +- lam] / Omega on each branch.
     """
     w = p.omega_drive
-    dz = p.detuning - w
+    dz = p.offset
     om = p.omega_rabi
     lam = math.hypot(om, dz)
     if om > OMEGA_RABI_CUTOFF * w:
@@ -154,7 +162,7 @@ def _theta_pairs(p: DriveParams) -> tuple[float, tuple[float, float], tuple[floa
         # holonomic family so dynamical phases stay zero at beta = 0.
         r = math.sqrt(0.5)
         return lam, (r, r), (-r, r)
-    if p.detuning > w:
+    if dz > 0:
         return lam, (1.0, 0.0), (0.0, 1.0)
     return lam, (0.0, 1.0), (1.0, 0.0)
 
@@ -182,7 +190,7 @@ def eigensystem(p: DriveParams, t: float) -> InvariantEigensystem:
 def lr_phase(p: DriveParams, t: float) -> tuple[float, float]:
     """Closed-form Lewis-Riesenfeld phases (alpha_plus, alpha_minus) at time t,
     alpha_pm = (w -+ lam) t / 2, in the gauge of :func:`eigensystem`."""
-    lam = math.hypot(p.omega_rabi, p.detuning - p.omega_drive)
+    lam = math.hypot(p.omega_rabi, p.offset)
     return (
         0.5 * (p.omega_drive - lam) * t,
         0.5 * (p.omega_drive + lam) * t,
@@ -191,16 +199,19 @@ def lr_phase(p: DriveParams, t: float) -> tuple[float, float]:
 
 def holonomy_residual(p: DriveParams) -> float:
     """Omega^2 + Delta (Delta - w); zero iff the one-period gate is holonomic."""
-    return p.omega_rabi**2 + p.detuning * (p.detuning - p.omega_drive)
+    return p.omega_rabi**2 + p.detuning * p.offset
 
 
 def params_from_beta(g: HolonomicGate) -> DriveParams:
     """Drive parameters realizing the holonomic gate at angle beta:
-    Delta = w cos^2(beta), Omega = w cos(beta) sin(beta) (nonnegative root)."""
+    Delta = w cos^2(beta), Omega = w cos(beta) sin(beta) (nonnegative root),
+    with the offset Delta - w stored as -w sin^2(beta), exact to rounding."""
     c = math.cos(g.beta)
     s = math.sin(g.beta)
     w = g.omega_drive
-    return DriveParams(omega_rabi=w * c * s, detuning=w * c * c, omega_drive=w)
+    p = DriveParams(omega_rabi=w * c * s, detuning=w * c * c, omega_drive=w)
+    object.__setattr__(p, "offset", -w * s * s)
+    return p
 
 
 def analytic_gate(g: HolonomicGate) -> np.ndarray:

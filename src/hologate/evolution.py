@@ -540,7 +540,7 @@ def exact_propagator(p: DriveParams, t) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"t must be finite, got {t[~finite][0]}")
     w = p.omega_drive
-    dz = p.detuning - w
+    dz = p.offset
     lam = math.hypot(p.omega_rabi, dz)
     # lam = 0 leaves only the frame rotation: sin(lam t / 2) = 0 kills the
     # axis terms, so any finite axis components will do there.

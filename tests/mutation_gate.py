@@ -218,6 +218,24 @@ MUTATIONS = [
         "pa, pb = pair_mul(a[shift:], b[shift:], a[:-shift], b[:-shift])",
     ),
     (
+        "drive: DriveParams' overflow check dropped",
+        "drive.py",
+        "if not math.isfinite(4.0 * sum(v * v for v in fields.values())):",
+        "if False:",
+    ),
+    (
+        "drive: params_from_beta's exact offset dropped",
+        "drive.py",
+        '    object.__setattr__(p, "offset", -w * s * s)\n',
+        "",
+    ),
+    (
+        "drive: _theta_pairs reads Delta - w from Delta again",
+        "drive.py",
+        "    dz = p.offset\n    om = p.omega_rabi\n",
+        "    dz = p.detuning - w\n    om = p.omega_rabi\n",
+    ),
+    (
         "exact: the sign of the axis component nz flipped",
         "evolution.py",
         "(p.omega_rabi / lam, dz / lam)",

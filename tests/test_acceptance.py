@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from hologate import (
     DriveParams,
@@ -18,9 +19,7 @@ from hologate import (
     compose,
     dynamical_integrand,
     fidelity,
-    full_report,
     invariant_residual,
-    lr_phase,
     max_abs,
     noncommutativity_witness,
     params_from_beta,
@@ -29,7 +28,7 @@ from hologate import (
     standard_target,
     synthesize,
 )
-from hologate.cli import CHECK_BOUNDS
+from hologate.cli import CHECK_BOUNDS, verify_checks
 from hologate.cli import main as cli_main
 
 BETA_GRID = np.linspace(0.0, math.pi / 2, 20)
@@ -43,6 +42,17 @@ def emit(criterion: int, passed: bool, detail: str) -> None:
 
 def circular_distance(a: float, b: float) -> float:
     return abs(math.remainder(a - b, TWO_PI))
+
+
+@pytest.fixture(scope="module")
+def verified():
+    """({beta: verify_checks at 10,000 steps} over BETA_GRID, seconds taken)."""
+    start = time.perf_counter()
+    runs = {}
+    for beta in map(float, BETA_GRID):
+        gate = HolonomicGate(beta)
+        runs[beta] = verify_checks(params_from_beta(gate), 10_000, analytic_gate(gate))
+    return runs, time.perf_counter() - start
 
 
 def test_criterion_1_catalog_reproduction():
@@ -67,20 +77,20 @@ def test_criterion_1_catalog_reproduction():
     )
 
 
-def test_criterion_2_analytic_numeric_agreement():
+def test_criterion_2_analytic_numeric_agreement(verified):
+    runs, elapsed = verified
     start = time.perf_counter()
     worst_error = 0.0
     ratios = []
-    for beta in BETA_GRID:
-        gate = HolonomicGate(float(beta))
+    for beta, (_, checks) in runs.items():
+        gate = HolonomicGate(beta)
         p = params_from_beta(gate)
-        target = analytic_gate(gate)
-        error_coarse = max_abs(propagate(p, p.period, 10_000) - target)
-        error_fine = max_abs(propagate(p, p.period, 20_000) - target)
+        error_coarse = checks["analytic_agreement"][0]
+        error_fine = max_abs(propagate(p, p.period, 20_000) - analytic_gate(gate))
         worst_error = max(worst_error, error_coarse)
         if error_coarse > 1e-10:
             ratios.append(error_coarse / error_fine)
-    elapsed = time.perf_counter() - start
+    elapsed += time.perf_counter() - start
     ratio_ok = len(ratios) >= 15 and all(2.5 < r < 6.0 for r in ratios)
     bound = CHECK_BOUNDS["analytic_agreement"]
     passed = worst_error <= bound and ratio_ok and elapsed < 10.0
@@ -92,21 +102,20 @@ def test_criterion_2_analytic_numeric_agreement():
     )
 
 
-def test_criterion_3_holonomy_verification():
+def test_criterion_3_holonomy_verification(verified):
+    runs, _ = verified
     times = np.linspace(0.0, TWO_PI, 1000)
     worst_integrand = 0.0
     worst_gamma = 0.0
-    for beta in BETA_GRID:
-        p = params_from_beta(HolonomicGate(float(beta)))
+    for beta, (_, checks) in runs.items():
+        p = params_from_beta(HolonomicGate(beta))
         for t in times:
             for branch in "+-":
                 worst_integrand = max(
                     worst_integrand, abs(dynamical_integrand(p, float(t), branch))
                 )
-        report = full_report(p, 10_000)
-        worst_gamma = max(worst_gamma, *(abs(g) for g in report.gamma_dynamical))
-    control = full_report(DriveParams(1.0, 1.0, 1.0), 10_000)
-    control_gamma = abs(control.gamma_dynamical[0])
+        worst_gamma = max(worst_gamma, checks["dynamical_phase"][0])
+    control_gamma = verify_checks(DriveParams(1.0, 1.0, 1.0), 10_000)[1]["dynamical_phase"][0]
     integrand_bound = CHECK_BOUNDS["holonomy_integrand"]
     gamma_bound = CHECK_BOUNDS["dynamical_phase"]
     passed = (
@@ -117,7 +126,7 @@ def test_criterion_3_holonomy_verification():
         passed,
         f"max integrand {worst_integrand:.2e} <= {integrand_bound:.0e}, "
         f"max |gamma_d| {worst_gamma:.2e} <= {gamma_bound:.0e}, "
-        f"non-holonomic |gamma_d+| = {control_gamma:.3f} > 0.1",
+        f"non-holonomic max |gamma_d| = {control_gamma:.3f} > 0.1",
     )
 
 
@@ -148,28 +157,22 @@ def test_criterion_4_invariant_equation():
     )
 
 
-def test_criterion_5_phase_correspondence():
+def test_criterion_5_phase_correspondence(verified):
+    runs, _ = verified
     worst_phase = 0.0
     worst_alpha = 0.0
-    for beta in BETA_GRID:
-        p = params_from_beta(HolonomicGate(float(beta)))
-        report = full_report(p, 10_000)
+    for beta, (values, checks) in runs.items():
         expected = sorted(
             (
                 (math.pi * (1.0 - math.sin(beta))) % TWO_PI,
                 (math.pi * (1.0 + math.sin(beta))) % TWO_PI,
             )
         )
-        observed = sorted(report.aa_eigenphases)
+        observed = sorted((values["aa_eigenphase_plus"], values["aa_eigenphase_minus"]))
         direct = max(circular_distance(x, y) for x, y in zip(observed, expected))
         swapped = max(circular_distance(x, y) for x, y in zip(observed, expected[::-1]))
         worst_phase = max(worst_phase, min(direct, swapped))
-        closed = lr_phase(p, p.period)
-        worst_alpha = max(
-            worst_alpha,
-            abs(report.alpha_numeric[0] - closed[0]),
-            abs(report.alpha_numeric[1] - closed[1]),
-        )
+        worst_alpha = max(worst_alpha, checks["total_phase"][0])
     alpha_bound = CHECK_BOUNDS["total_phase"]
     passed = worst_phase <= 1e-6 and worst_alpha <= alpha_bound
     emit(
@@ -180,12 +183,9 @@ def test_criterion_5_phase_correspondence():
     )
 
 
-def test_criterion_6_spectral_propagator():
-    worst = 0.0
-    for beta in BETA_GRID:
-        p = params_from_beta(HolonomicGate(float(beta)))
-        rep = full_report(p, 10_000)
-        worst = max(worst, max_abs(rep.spectral - rep.propagator))
+def test_criterion_6_spectral_propagator(verified):
+    runs, _ = verified
+    worst = max(checks["spectral_agreement"][0] for _, checks in runs.values())
     bound = CHECK_BOUNDS["spectral_agreement"]
     passed = worst <= bound
     emit(6, passed, f"max |U_spectral - U_direct| = {worst:.2e} <= {bound:.0e}")

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hologate.cli as cli
@@ -140,10 +140,18 @@ def test_check_passes_at_its_bound_and_fails_on_nan():
     assert not report.all_passed
 
 
-def test_verify_checks_take_their_constant_bounds_from_the_table(capsys):
-    _, out, _ = run_cli(capsys, "verify", "--beta", "0.5", "--steps", "64", "--machine")
-    names = {k[len("check_") :] for k in parse_machine(out) if k.startswith("check_")}
-    assert names - set(CHECK_BOUNDS) == {"trajectory_dynamical_phase"}
+def test_verify_checks_take_their_constant_bounds_from_the_table(monkeypatch):
+    # stand-in bounds equal to no real one, so a bound written into verify fails
+    table = {name: 1000.0 + i for i, name in enumerate(CHECK_BOUNDS)}
+    monkeypatch.setattr(cli, "CHECK_BOUNDS", table)
+    monkeypatch.setattr(cli, "TRAJECTORY_PHASE_COEFF", 7.0)
+    gate = HolonomicGate(0.5)
+    p = params_from_beta(gate)
+    _, checks = cli.verify_checks(p, 64, analytic_gate(gate))
+    bounds = {name: bound for name, (_, bound) in checks.items()}
+    assert bounds.pop("trajectory_dynamical_phase") == 7.0 * (p.period / 64) ** 2
+    assert set(bounds) <= set(table)
+    assert bounds == {name: table[name] for name in bounds}
 
 
 # --- verify -----------------------------------------------------------------
@@ -177,6 +185,17 @@ def test_verify_non_holonomic_drive_fails_by_design(capsys):
     assert values["check_aa_correspondence"] == "pass"
     assert values["check_spectral_agreement"] == "pass"
     assert values["check_spectral_exact"] == "pass"
+
+
+@given(b=st.floats(-14.0, -3.0).map(lambda e: 10.0**e), near_half_pi=st.booleans())
+@example(b=1e-6, near_half_pi=False)  # max_integrand 4.4e-11 with Delta - w read from Delta
+@example(b=3e-6, near_half_pi=False)
+@example(b=1e-8, near_half_pi=False)  # |gamma_d| 3.1e-8 likewise
+def test_verify_passes_every_check_near_the_ends_of_the_family(b, near_half_pi):
+    gate = HolonomicGate(math.pi / 2 - b if near_half_pi else b)
+    _, checks = cli.verify_checks(params_from_beta(gate), 10_000, analytic_gate(gate))
+    report = RunReport("verify", checks=checks)
+    assert report.all_passed, [detail for detail in report.verdicts() if not detail[1]]
 
 
 def test_verify_a_million_steps_passes_unitarity(capsys):

@@ -19,7 +19,7 @@ from hologate import (
     propagate,
 )
 
-from conftest import random_drive
+from conftest import EPS, random_drive
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
@@ -228,6 +228,27 @@ def test_params_from_beta_residual_and_lambda_across_range():
             assert abs(holonomy_residual(p)) <= 1e-12 * w**2
             lam = math.hypot(p.omega_rabi, p.detuning - w)
             assert abs(lam - w * math.sin(beta)) <= 1e-12
+
+
+def test_params_from_beta_is_holonomic_to_rounding():
+    # Omega^2 + Delta (Delta - w) cancels two terms of size Omega^2; with the
+    # offset stored as -w sin^2(beta) the residual measured <= 0.90 of this
+    # bound (at beta = 1e-6, Delta - w read from Delta left -8.9e-17)
+    small = np.logspace(-14, -3, 45)
+    for beta in (*np.linspace(0.0, math.pi / 2, 801), *small, *(math.pi / 2 - small)):
+        p = params_from_beta(HolonomicGate(float(beta)))
+        scale = p.omega_rabi**2 + abs(p.detuning * p.offset)
+        assert abs(holonomy_residual(p)) <= 2.0 * EPS * scale
+
+
+def test_offset_is_the_rotating_frame_detuning_and_takes_no_part_in_equality():
+    assert DriveParams(0.3, 0.7, 2.0).offset == 0.7 - 2.0
+    p = params_from_beta(HolonomicGate(1e-6))
+    assert p.offset == -(math.sin(1e-6) ** 2)
+    # Delta - w reads -1.000089e-12 here, yet the two triples are one drive
+    same = DriveParams(p.omega_rabi, p.detuning, 1.0)
+    assert same.offset != p.offset
+    assert same == p and hash(same) == hash(p) and repr(same) == repr(p)
 
 
 def test_holonomic_family_is_never_adiabatic():

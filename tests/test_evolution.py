@@ -25,7 +25,7 @@ from hologate import (
     params_from_beta,
     propagate,
 )
-from hologate.cli import TRAJECTORY_PHASE_COEFF, main
+from hologate.cli import main, verify_checks
 from hologate.su2 import pair_matrix
 
 from conftest import random_drive, rounding_bound
@@ -715,11 +715,9 @@ def test_trajectory_dynamical_phase_is_within_its_bound_across_the_family():
     # count from 16 to 10^6: the integrator's O(dt^2) error
     for steps in (16, 1_000, 10_000):
         for beta in np.linspace(0.02, 1.55, 52):
-            p = params_from_beta(HolonomicGate(float(beta)))
-            rep = full_report(p, steps)
-            bound = TRAJECTORY_PHASE_COEFF * (p.period / steps) ** 2
-            assert max(abs(g) for g in rep.gamma_dynamical_trajectory) <= bound
-            assert rep.max_integrand_trajectory <= bound
+            values, checks = verify_checks(params_from_beta(HolonomicGate(float(beta))), steps)
+            gamma, bound = checks["trajectory_dynamical_phase"]
+            assert gamma <= bound and values["max_integrand_trajectory"] <= bound
 
 
 def test_trajectory_dynamical_phase_of_a_non_holonomic_drive():

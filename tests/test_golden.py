@@ -50,6 +50,7 @@ _VERIFY = [
 CASES = {
     **{f"gate_beta{b}": ("gate", "--beta", b) for b in ("0", "0.3", "0.785", "1.5707963")},
     **dict(_VERIFY),
+    "verify_beta1e-06_10000": ("verify", "--beta", "1e-06", "--steps", "10000"),
     "catalog": ("catalog",),
     "synth_NOT_4": ("synth", "--target", "NOT", "--length", "4"),
     "synth_Phase_4": ("synth", "--target", "Phase", "--length", "4"),
