@@ -350,6 +350,7 @@ def _cmd_synth(args) -> tuple[RunReport, int]:
     report.values["infidelity_phase_sensitive"] = 1.0 - result.fidelity.phase_sensitive
     report.values["evaluations"] = result.evaluations
     report.values["restarts_used"] = result.restarts_used
+    report.values["coordinates"] = result.coordinates
     report.values["converged"] = result.converged
     report.check("converged", 1.0 - result.fidelity.magnitude, CHECK_BOUNDS["converged"])
     if args.out:

@@ -12,6 +12,13 @@ the product rule over prefix and suffix products of the pulse pairs
 (``su2.pair_mul``), i.e. the GRAPE gradient (Khaneja et al., J. Magn. Reson.
 172, 296 (2005)). Coordinates are unconstrained and folded into [0, pi/2] by
 reflection at the bounds.
+
+Every gate U(beta) is a complex symmetric matrix, so a palindrome
+(beta_1 .. beta_2 beta_1) composes to a symmetric gate. A symmetric target is
+therefore searched first over palindromes, whose ceil(N/2) coordinates y
+expand to the pulses y || reverse(y[:N - ceil(N/2)]) (symmetric composite
+pulses: Levitt, Prog. NMR Spectrosc. 18, 61 (1986)); the first half of the
+starts are palindromic, and the rest run the general search if none hits.
 """
 
 from __future__ import annotations
@@ -73,6 +80,8 @@ class SynthesisResult:
     evaluations: int
     restarts_used: int
     converged: bool
+    #: "palindromic" or "general": the coordinates of the start that gave the result.
+    coordinates: str
 
 
 class CatalogEntry(NamedTuple):
@@ -154,6 +163,8 @@ _CHUNK = 128
 _MAX_ITERATIONS = 60
 #: Pulses whose J J^T terms are formed at once.
 _BLOCK = 16
+#: Largest |Re b| of a target's unit pair that counts as symmetric (b = -conj(b)).
+_SYMMETRIC_RE_B = 8 * np.finfo(float).eps
 
 
 def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,10 +235,25 @@ def _jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _real(prefix[:, -1]), _real(g[2:])
 
 
-def _residual(x: np.ndarray, target_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _expand(x: np.ndarray, n: int) -> np.ndarray:
+    """The n pulse coordinates of ``x``: x itself if it has n rows, else the
+    palindrome x || reverse(x[:n - len(x)]) of its ceil(n/2) rows."""
+    return x if len(x) == n else np.concatenate((x, x[: n - len(x)][::-1]))
+
+
+def _residual(
+    x: np.ndarray, target_pair: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """r = q - s q_target with s = sign(q . q_target) per start, the Jacobian
-    dr/dx, and |r|^2 / 2, which is the infidelity 1 - |tr(U^dag T)| / 2 exactly."""
-    q, jac = _jacobian(x)
+    dr/dx, and |r|^2 / 2, which is the infidelity 1 - |tr(U^dag T)| / 2 exactly.
+    ``x`` holds n pulse coordinates, or the ceil(n/2) of a palindrome."""
+    m = len(x)
+    q, jac = _jacobian(_expand(x, n))
+    if m < n:
+        # pulse n-1-k repeats coordinate k, so dq/dy_k is the sum of both
+        # columns; an odd middle pulse (k = m - 1 = n - m) is its own mirror
+        jac[: n - m] += jac[::-1][: n - m]
+        jac = jac[:m]
     r = q - np.where(_dot4(q, target_pair) >= 0.0, 1.0, -1.0) * target_pair
     return r, jac, 0.5 * _dot4(r, r)
 
@@ -246,14 +272,15 @@ def _normal(jac: np.ndarray) -> np.ndarray:
     return normal
 
 
-def _descend(x: np.ndarray, target_pair: np.ndarray):
-    """Levenberg-Marquardt on every column of ``x`` (N, starts) in lockstep.
+def _descend(x: np.ndarray, target_pair: np.ndarray, n: int):
+    """Levenberg-Marquardt on every column of ``x`` (coordinates, starts) in
+    lockstep, for sequences of n pulses (see ``_residual``).
     Once start h is within TOLERANCE, the starts after h are dropped: its
     infidelity never rises, and only the lowest hit decides the result. Stops
     once that hit is within TOLERANCE**2 (one or two steps later, by quadratic
     convergence), or after _MAX_ITERATIONS. Returns the coordinates and the
     infidelity of the starts kept, and the trial points evaluated."""
-    r, jac, infidelity = _residual(x, target_pair)
+    r, jac, infidelity = _residual(x, target_pair, n)
     damping = np.full(infidelity.shape, 1e-2)
     evaluations = 0
     for iterations in range(_MAX_ITERATIONS + 1):
@@ -269,7 +296,7 @@ def _descend(x: np.ndarray, target_pair: np.ndarray):
         normal.reshape(16, -1)[::5] += damping  # the diagonal
         step = np.linalg.solve(normal.transpose(2, 0, 1), r.T[..., None])[..., 0].T
         trial_x = x - _dot4(jac, step)
-        trial_r, trial_jac, trial_infidelity = _residual(trial_x, target_pair)
+        trial_r, trial_jac, trial_infidelity = _residual(trial_x, target_pair, n)
         evaluations += len(infidelity)
         better = trial_infidelity < infidelity
         # accept in place: each start keeps its state or takes the trial's
@@ -283,9 +310,9 @@ def _descend(x: np.ndarray, target_pair: np.ndarray):
     return x, infidelity, evaluations
 
 
-def _finish(target, x, evaluations, restarts_used) -> SynthesisResult:
-    """Fold the winning coordinates, then score them on the 2x2 product."""
-    seq = PulseSequence(tuple(_fold(x)[0]))
+def _finish(target, x, n, evaluations, restarts_used) -> SynthesisResult:
+    """Expand and fold the winning coordinates, then score them on the 2x2 product."""
+    seq = PulseSequence(tuple(_fold(_expand(x, n))[0]))
     report = fidelity(compose(seq), target.matrix)
     # products of exact unitaries can overshoot 1 by rounding; clamp the report
     report = FidelityReport(
@@ -294,7 +321,8 @@ def _finish(target, x, evaluations, restarts_used) -> SynthesisResult:
         relative_phase=report.relative_phase,
     )
     converged = (1.0 - report.magnitude) <= TOLERANCE
-    return SynthesisResult(seq, report, evaluations, restarts_used, converged)
+    coordinates = "palindromic" if len(x) < n else "general"
+    return SynthesisResult(seq, report, evaluations, restarts_used, converged, coordinates)
 
 
 def synthesize(
@@ -306,28 +334,37 @@ def synthesize(
     """Search for a pulse sequence of the given length maximizing fidelity to
     ``target`` from ``restarts`` random starts. Deterministic for a fixed
     seed; the search stops at the first start (in draw order) that reaches
-    TOLERANCE."""
+    TOLERANCE. For a symmetric target of length > 1 the first ceil(restarts/2)
+    starts are palindromes, and the rest are general sequences."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if not restarts >= 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     target_pair = _target_pair(target.matrix)
+    symmetric = length > 1 and abs(target_pair[2, 0]) <= _SYMMETRIC_RE_B
+    # (coordinates per start, starts) of each phase, in draw order
+    phases = [(length, restarts)]
+    if symmetric:
+        half = (restarts + 1) // 2
+        phases = [((length + 1) // 2, half), (length, restarts - half)]
     rng = np.random.default_rng(rng_seed)
     best_infidelity, best_x = math.inf, None
-    evaluations, restarts_used = 0, restarts
-    for first in range(0, restarts, _CHUNK):
-        # one start per row of the draw, so that a seed keeps its starts
-        starts = rng.uniform(0.0, _HALF_PI, (min(_CHUNK, restarts - first), length))
-        x, infidelity, batch_evaluations = _descend(starts.T.copy(), target_pair)
-        evaluations += batch_evaluations
-        hits = np.flatnonzero(infidelity <= TOLERANCE)
-        k = hits[0] if hits.size else int(np.argmin(infidelity))
-        if infidelity[k] < best_infidelity:
-            best_infidelity, best_x = infidelity[k], x[:, k]
-        if hits.size:
-            restarts_used = first + int(k) + 1
-            break
-    return _finish(target, best_x, evaluations, restarts_used)
+    evaluations, drawn = 0, 0
+    for width, count in phases:
+        for first in range(0, count, _CHUNK):
+            # one start per row of the draw, so that a seed keeps its starts
+            starts = rng.uniform(0.0, _HALF_PI, (min(_CHUNK, count - first), width))
+            x, infidelity, batch_evaluations = _descend(starts.T.copy(), target_pair, length)
+            evaluations += batch_evaluations
+            hits = np.flatnonzero(infidelity <= TOLERANCE)
+            k = hits[0] if hits.size else int(np.argmin(infidelity))
+            if infidelity[k] < best_infidelity:
+                best_infidelity, best_x = infidelity[k], x[:, k]
+            if hits.size:
+                restarts_used = drawn + first + int(k) + 1
+                return _finish(target, best_x, length, evaluations, restarts_used)
+        drawn += count
+    return _finish(target, best_x, length, evaluations, restarts)
 
 
 def refine(target: TargetGate, betas) -> SynthesisResult:
@@ -335,5 +372,5 @@ def refine(target: TargetGate, betas) -> SynthesisResult:
     x0 = np.asarray([float(b) for b in betas])
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("betas must be a nonempty 1-d sequence")
-    x, _, evaluations = _descend(x0[:, None], _target_pair(target.matrix))
-    return _finish(target, x[:, 0], evaluations, 0)
+    x, _, evaluations = _descend(x0[:, None], _target_pair(target.matrix), x0.size)
+    return _finish(target, x[:, 0], x0.size, evaluations, 0)

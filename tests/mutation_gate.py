@@ -76,6 +76,24 @@ MUTATIONS = [
         "keep = slice(hits[-1] + 1)",
     ),
     (
+        "search: the palindrome's Jacobian fold-back dropped",
+        "synthesis.py",
+        "        jac[: n - m] += jac[::-1][: n - m]\n",
+        "",
+    ),
+    (
+        "search: the odd middle pulse of a palindrome counted twice",
+        "synthesis.py",
+        "jac[: n - m] += jac[::-1][: n - m]",
+        "jac[:m] += jac[::-1][:m]",
+    ),
+    (
+        "search: the symmetric-target predicate forced false",
+        "synthesis.py",
+        "symmetric = length > 1 and abs(target_pair[2, 0]) <= _SYMMETRIC_RE_B",
+        "symmetric = False",
+    ),
+    (
         "checks: <= changed to < in RunReport.verdicts",
         "cli.py",
         "yield name, value <= bound,",

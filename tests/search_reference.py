@@ -1,6 +1,8 @@
 """The search kernel in its first, row-major form: one start per row, the
 pulse pairs built with complex arithmetic, every product with the identity
-carried out, and no start ever dropped from the batch.
+carried out, and no start ever dropped from the batch. A palindrome's
+coordinates are expanded to its pulses and its Jacobian folded back one
+mirrored pair at a time.
 
 Its sums are written out in the order in which numpy's ``einsum`` and
 ``matmul`` add them on float64: four terms as (0 + 2) + (1 + 3), and the
@@ -50,9 +52,29 @@ def jacobian(x):
     return real(pa[:, -1], pb[:, -1]), real(*dq)
 
 
-def residual(x, target_pair):
-    """r, dr/dx and |r|^2 / 2; ``target_pair`` has shape (4,)."""
-    q, jac = jacobian(x)
+def expand(y, n):
+    """The n pulse coordinates of each row of y (starts, m): y itself if
+    m = n, else the palindrome y || reverse(y[:, :n - m])."""
+    m = y.shape[1]
+    return y if m == n else np.concatenate((y, y[:, : n - m][:, ::-1]), axis=1)
+
+
+def fold_back(jac, m):
+    """dq/dy (starts, m, 4) from dq/dx (starts, n, 4) of the expanded pulses:
+    coordinate k < n - m drives pulses k and n-1-k; the others one pulse each."""
+    n = jac.shape[1]
+    out = jac[:, :m].copy()
+    for k in range(n - m):
+        out[:, k] = jac[:, k] + jac[:, n - 1 - k]
+    return out
+
+
+def residual(x, target_pair, n):
+    """r, dr/dx and |r|^2 / 2 for n-pulse sequences with the coordinates x
+    (starts, n) or the palindromic (starts, ceil(n/2)); ``target_pair`` has
+    shape (4,)."""
+    q, jac = jacobian(expand(x, n))
+    jac = fold_back(jac, x.shape[1])
     sign = np.where(sum4(q * target_pair) >= 0.0, 1.0, -1.0)
     r = q - sign[:, None] * target_pair
     return r, jac, 0.5 * sum4(r * r)
@@ -66,13 +88,14 @@ def normal(jac):
     return total
 
 
-def descend(x, target_pair):
-    """Levenberg-Marquardt on every row of x (starts, N) in lockstep, with the
-    stop rule of ``synthesis._descend``. Returns the coordinates, each start's
-    infidelity, and the lowest hit before each iteration (None if no start
-    was within TOLERANCE), one entry per iteration run."""
+def descend(x, target_pair, n):
+    """Levenberg-Marquardt on every row of x (starts, coordinates) in lockstep,
+    for sequences of n pulses (see ``residual``), with the stop rule of
+    ``synthesis._descend``. Returns the coordinates, each start's infidelity,
+    and the lowest hit before each iteration (None if no start was within
+    TOLERANCE), one entry per iteration run."""
     x = x.copy()
-    r, jac, infidelity = residual(x, target_pair)
+    r, jac, infidelity = residual(x, target_pair, n)
     damping = np.full(len(x), 1e-2)
     lowest_hits = []
     for iterations in range(_MAX_ITERATIONS + 1):
@@ -83,7 +106,7 @@ def descend(x, target_pair):
         system = normal(jac) + damping[:, None, None] * np.eye(4)
         y = np.linalg.solve(system, r[..., None])[..., 0]
         trial_x = x - sum4(jac * y[:, None, :])
-        trial_r, trial_jac, trial_infidelity = residual(trial_x, target_pair)
+        trial_r, trial_jac, trial_infidelity = residual(trial_x, target_pair, n)
         better = trial_infidelity < infidelity
         x[better], r[better], jac[better] = trial_x[better], trial_r[better], trial_jac[better]
         infidelity[better] = trial_infidelity[better]

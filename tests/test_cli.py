@@ -387,6 +387,22 @@ def test_synth_matrix_file_target(tmp_path, capsys):
     assert float(values["infidelity_magnitude"]) <= 1e-9
 
 
+def test_synth_machine_output_names_the_coordinates_of_the_result(tmp_path, capsys):
+    # NOT is symmetric, so its first starts are palindromes; the Ry(pi/2)
+    # rotation [[1, -1], [1, 1]] / sqrt(2) is not, so only general ones run
+    matrix_file = tmp_path / "ry.mat"
+    h = "0.7071067811865476"
+    matrix_file.write_text(f"{h} -{h}\n{h} {h}\n")
+    found = {}
+    for target in ("NOT", str(matrix_file)):
+        code, out, _ = run_cli(capsys, "synth", "--target", target, "--length", "5", "--machine")
+        values = parse_machine(out)
+        assert code == 0 and values["converged"] == "true"
+        assert list(values).index("coordinates") == list(values).index("restarts_used") + 1
+        found[values["target"]] = values["coordinates"]
+    assert found == {"NOT": "palindromic", "custom": "general"}
+
+
 def test_synth_identity_matrix_file_converges_at_length_one(tmp_path, capsys):
     # U(0) = -I matches I up to the global sign the magnitude ignores
     matrix_file = tmp_path / "identity.mat"

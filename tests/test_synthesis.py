@@ -15,6 +15,7 @@ from hologate import (
     fidelity,
     max_abs,
     noncommutativity_witness,
+    params_from_beta,
     refine,
     standard_target,
     synthesize,
@@ -22,7 +23,7 @@ from hologate import (
 from hologate.synthesis import TOLERANCE, _descend, _fold, _jacobian, _residual, _target_pair
 
 import search_reference
-from conftest import random_unitary
+from conftest import random_unitary, rounding_bound
 
 I2 = np.eye(2, dtype=complex)
 
@@ -188,24 +189,32 @@ def test_synthesize_not_gate_at_length_four():
 
 #: (restarts_used, evaluations) of `synth --target NAME --length N --seed S`
 #: at the default 100 restarts: the argv of the benchmark's `search` workload.
-#: Every search converges. `evaluations` counts the trial points evaluated,
-#: which stops growing for the starts after the first hit.
+#: Every search converges on a palindrome, within the first 50 starts.
+#: `evaluations` counts the trial points evaluated, which stops growing for
+#: the starts after the first hit.
 SEARCH_POOL_WORK = {
-    ("NOT", 4): [(8, 409), (2, 324), (3, 327), (5, 310), (4, 399), (26, 416), (8, 433), (9, 309)],
-    ("Phase", 4): [(4, 397), (2, 308), (9, 409), (9, 318), (5, 317), (6, 338), (3, 309), (2, 325)],
-    ("T", 3): [(5, 305), (29, 329), (66, 366), (2, 322), (3, 312), (3, 436), (1, 304), (4, 355)],
-    ("Hadamard", 7): [(82, 582)],
+    ("NOT", 4): [(3, 187), (3, 138), (5, 166), (6, 137), (6, 195), (9, 168), (6, 170), (3, 182)],
+    ("Phase", 4): [(6, 162), (5, 171), (1, 152), (4, 130), (1, 175), (2, 164), (42, 292), (10, 134)],
+    ("T", 3): [(1, 125), (9, 109), (1, 153), (1, 116), (3, 129), (2, 104), (1, 102), (2, 156)],
+    ("Hadamard", 7): [(38, 277)],
 }
 
-#: (restarts_used, converged, evaluations) of searches that draw more than one
-#: batch of starts, keyed by (target, length, restarts, seed): Hadamard/7
-#: hits past the first 128 starts at these seeds, and Hadamard/6 never hits,
-#: so it drops no start and evaluates 200 starts x 60 iterations.
+#: The targets of MULTI_BATCH_WORK: the standard ones by name, and an
+#: asymmetric random unitary, which only the general search takes.
+MULTI_BATCH_TARGETS = {
+    "Hadamard": standard_target("Hadamard").matrix,
+    "random_unitary(6)": random_unitary(np.random.default_rng(6)),
+}
+
+#: (restarts_used, converged, evaluations, coordinates) of searches that draw
+#: more than one batch of starts, keyed by (target, length, restarts, seed).
+#: Hadamard/6 never hits, so each phase draws 128 + 22 starts, drops none and
+#: evaluates 150 starts x 60 iterations. The asymmetric target hits past the
+#: first 128 starts of its one general phase.
 MULTI_BATCH_WORK = {
-    ("Hadamard", 7, 300, 1): (175, True, 8414),
-    ("Hadamard", 7, 300, 4): (144, True, 8208),
-    ("Hadamard", 7, 300, 28): (201, True, 8521),
-    ("Hadamard", 6, 200, 0): (200, False, 12000),
+    ("Hadamard", 6, 300, 0): (300, False, 18000, "general"),
+    ("random_unitary(6)", 6, 300, 14): (166, True, 8330, "general"),
+    ("random_unitary(6)", 6, 300, 32): (222, True, 8414, "general"),
 }
 
 
@@ -228,8 +237,11 @@ def test_synthesize_does_the_pinned_work_on_the_search_pool():
 def test_synthesize_does_the_pinned_work_across_batches():
     work = {}
     for name, length, restarts, seed in MULTI_BATCH_WORK:
-        r = synthesize(standard_target(name), length, restarts, rng_seed=seed)
-        work[name, length, restarts, seed] = (r.restarts_used, r.converged, r.evaluations)
+        target = TargetGate(MULTI_BATCH_TARGETS[name])
+        r = synthesize(target, length, restarts, rng_seed=seed)
+        work[name, length, restarts, seed] = (
+            r.restarts_used, r.converged, r.evaluations, r.coordinates
+        )
     assert work == MULTI_BATCH_WORK
 
 
@@ -276,7 +288,7 @@ def test_residual_infidelity_matches_trace_fidelity_and_is_never_negative(coords
     target = TargetGate(random_unitary(np.random.default_rng(seed)))
     x = np.array([coords]).T
     seq = PulseSequence(tuple(_fold(x)[0][:, 0]))
-    infidelity = _residual(x, _target_pair(target.matrix))[2][0]
+    infidelity = _residual(x, _target_pair(target.matrix), len(x))[2][0]
     assert infidelity >= 0.0
     expected = 1.0 - fidelity(compose(seq), target.matrix).magnitude
     assert infidelity == pytest.approx(expected, abs=1e-12)
@@ -292,26 +304,61 @@ def test_residual_infidelity_matches_trace_fidelity_and_is_never_negative(coords
     batch=st.integers(1, 130),
     seed=st.integers(0, 2**32 - 1),
     name=st.sampled_from(["NOT", "Hadamard", "Phase", "T"]),
+    palindromic=st.booleans(),
 )
 # start 3 hits first, then start 1, then start 0, so the batch narrows twice
-@example(length=4, batch=4, seed=12, name="NOT")
+@example(length=4, batch=4, seed=12, name="NOT", palindromic=False)
+# palindromes with an odd middle pulse and without one, both with hits
+@example(length=7, batch=40, seed=0, name="Hadamard", palindromic=True)
+@example(length=4, batch=20, seed=0, name="NOT", palindromic=True)
 @settings(max_examples=40)
-def test_descend_matches_the_row_major_reference_up_to_the_first_hit(length, batch, seed, name):
+def test_descend_matches_the_row_major_reference_up_to_the_first_hit(
+    length, batch, seed, name, palindromic
+):
     matrix = standard_target(name).matrix
-    starts = np.random.default_rng(seed).uniform(0.0, math.pi / 2, (batch, length))
+    width = (length + 1) // 2 if palindromic else length
+    starts = np.random.default_rng(seed).uniform(0.0, math.pi / 2, (batch, width))
     want_x, want_infidelity, lowest_hits = search_reference.descend(
-        starts, search_reference.target_pair(matrix)
+        starts, search_reference.target_pair(matrix), length
     )
-    x, infidelity, evaluations = _descend(starts.T.copy(), _target_pair(matrix))
+    x, infidelity, evaluations = _descend(starts.T.copy(), _target_pair(matrix), length)
     # each iteration advances the starts up to the lowest hit seen so far
     kept, evaluated = batch, 0
     for h in lowest_hits:
         kept = kept if h is None else min(kept, h + 1)
         evaluated += kept
     assert evaluations == evaluated
-    assert x.shape == (length, kept)
+    assert x.shape == (width, kept)
     assert np.array_equal(x, want_x[:kept].T)
     assert np.array_equal(infidelity, want_infidelity[:kept])
+
+
+@given(half=st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=6), odd=st.booleans())
+@settings(max_examples=50)
+def test_palindromes_compose_to_symmetric_gates(half, odd):
+    # every U(beta) is complex symmetric, so (g_1 .. g_m .. g_1)^T is itself;
+    # the 2x2 products round by at most one gate's bound per pulse
+    betas = half + half[-2::-1] if odd else half + half[::-1]
+    u = compose(PulseSequence(tuple(betas)))
+    bound = sum(
+        rounding_bound(p, p.period) for p in (params_from_beta(HolonomicGate(b)) for b in betas)
+    )
+    assert max_abs(u - u.T) <= bound
+
+
+@given(
+    case=st.sampled_from([("NOT", 4), ("NOT", 5), ("Phase", 4), ("T", 3), ("T", 4), ("Hadamard", 7)]),
+    seed=st.integers(0, 31),
+)
+@settings(max_examples=20)
+def test_a_palindromic_result_recomposes_within_tolerance(case, seed):
+    name, length = case
+    target = standard_target(name)
+    result = synthesize(target, length, rng_seed=seed)
+    assert result.converged and result.coordinates == "palindromic"
+    betas = result.sequence.betas
+    assert betas == betas[::-1]
+    assert 1.0 - fidelity(compose(result.sequence), target.matrix).magnitude <= TOLERANCE
 
 
 # --- noncommutativity ---------------------------------------------------------------
