@@ -170,7 +170,7 @@ def _circular_distance(a: float, b: float) -> float:
 # --- commands ---------------------------------------------------------------
 
 
-def _cmd_gate(args) -> tuple[RunReport, int]:
+def _cmd_gate(args) -> RunReport:
     gate = HolonomicGate(args.beta)
     p = params_from_beta(gate)
     u = analytic_gate(gate)
@@ -186,7 +186,7 @@ def _cmd_gate(args) -> tuple[RunReport, int]:
     report.values["aa_eigenphase_plus"] = chi[0]
     report.values["aa_eigenphase_minus"] = chi[1]
     _put_matrix(report.values, "u", u)
-    return report, EXIT_OK
+    return report
 
 
 def _number(text: str, what: str) -> float:
@@ -259,7 +259,7 @@ def verify_checks(p: DriveParams, steps: int, analytic=None) -> tuple[dict, dict
     return v, checks
 
 
-def _cmd_verify(args) -> tuple[RunReport, int]:
+def _cmd_verify(args) -> RunReport:
     if (args.beta is None) == (args.drive is None):
         raise ValueError("give exactly one of --beta or --drive")
     if args.steps > MAX_VERIFY_STEPS:
@@ -271,8 +271,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
     else:
         p, analytic = _parse_drive(args.drive), None
         params = {"drive": args.drive, "steps": args.steps}
-    report = RunReport("verify", params, *verify_checks(p, args.steps, analytic))
-    return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return RunReport("verify", params, *verify_checks(p, args.steps, analytic))
 
 
 def _parse_matrix_file(path: str) -> np.ndarray:
@@ -328,7 +327,7 @@ def _synthesis_record(report: RunReport) -> str:
     return "".join(f"{key}={_fmt(fields[key])}\n" for key in _RECORD_KEYS)
 
 
-def _cmd_synth(args) -> tuple[RunReport, int]:
+def _cmd_synth(args) -> RunReport:
     if args.length > MAX_SYNTH_LENGTH:
         raise ValueError(f"length must be <= {MAX_SYNTH_LENGTH}, got {args.length}")
     if args.seed < 0:
@@ -357,10 +356,10 @@ def _cmd_synth(args) -> tuple[RunReport, int]:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_synthesis_record(report))
         report.values["out"] = args.out
-    return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return report
 
 
-def _cmd_catalog(args) -> tuple[RunReport, int]:
+def _cmd_catalog(args) -> RunReport:
     report = RunReport("catalog")
     deviation_magnitude = 0.0
     deviation_phase = 0.0
@@ -383,7 +382,7 @@ def _cmd_catalog(args) -> tuple[RunReport, int]:
     report.values["matching_convention"] = (
         "magnitude" if deviation_magnitude <= deviation_phase else "phase_sensitive"
     )
-    return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return report
 
 
 def _parse_beta_spec(text: str) -> list[float]:
@@ -428,7 +427,7 @@ def _trajectory_template(times: np.ndarray) -> str:
     return rows + f"{stamps[-1]}0_final,{xyz}{stamps[-1]}1_final,{xyz}"
 
 
-def _cmd_trajectory(args) -> tuple[RunReport, int]:
+def _cmd_trajectory(args) -> RunReport:
     betas = _parse_beta_spec(args.beta)
     if not betas:
         raise ValueError("no beta values given")
@@ -462,7 +461,7 @@ def _cmd_trajectory(args) -> tuple[RunReport, int]:
     report.values["n_rows"] = len(betas) * (2 * args.samples + 2)
     report.values["max_sphere_deviation"] = worst_sphere
     report.check("on_sphere", worst_sphere, CHECK_BOUNDS["on_sphere"])
-    return report, EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return report
 
 
 # --- entry point -------------------------------------------------------------
@@ -535,11 +534,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; callable any number of times
-    in one process. An argv that argparse rejects raises SystemExit(2)."""
+    in one process. An argv that argparse rejects raises SystemExit(2). Each
+    handler returns its RunReport, and a report with a failed check exits 1."""
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        report, code = _HANDLERS[args.command](args)
+        report = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -551,7 +551,7 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     report.wall_time_s = time.perf_counter() - start
     print(_render(report, machine=args.machine))
-    return code
+    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

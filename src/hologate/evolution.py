@@ -94,10 +94,12 @@ _TOP_PAIRS = 16
 #: 2^19 steps.
 _FINISH_STEPS = 2**19
 
-#: Rows per group at or below which a set's factors are built one row at a
-#: time rather than by one broadcast per group (``_build_group``): sets of
-#: rows of at least ~1,024 steps, which the 10^6- and 10^7-step products have.
-_ROW_BUILD_ROWS = 32
+#: Entries of numpy's ufunc buffer while ``_row_products`` builds a set's
+#: factors by the broadcast rows[:, None] columns. numpy runs a broadcast whose
+#: rows are shorter than this buffer through two such buffers, allocated on
+#: every call: 32 KiB here instead of 256 KiB at its default of 8,192 entries,
+#: and none for the rows of >= 1,024 steps of the 10^6- and 10^7-step products.
+_BUILD_BUFFER = 1024
 
 #: Nodes at which ``_phase_quadrature`` evaluates the phase integrands.
 _QUADRATURE_NODES = 17
@@ -332,33 +334,6 @@ def _finished_rows(steps: int, per_group: int) -> int:
     return per_group * max(1, _FINISH_STEPS // (per_group * steps))
 
 
-def _build_targets(b: np.ndarray, group_rows: int):
-    """Where ``_build_group`` writes the factors of a group of a set whose
-    groups have at most ``group_rows`` rows: the rows of its ``b`` when that
-    is at most ``_ROW_BUILD_ROWS``, else ``b`` itself. A set's short last
-    group is built as its other groups are: once they have allocated
-    numpy's buffers, a row loop over the last one saves no memory."""
-    return list(b) if group_rows <= _ROW_BUILD_ROWS else b
-
-
-def _build_group(rows: np.ndarray, columns: np.ndarray, targets) -> None:
-    """Write the factors' b of a group, rows[i] columns[m], into the
-    ``_build_targets`` of its b: one multiply per row into a list of rows,
-    else one broadcast over all of them. The row factor comes first either
-    way, so that both round the same (the other order does not).
-
-    numpy runs a broadcast whose rows are shorter than its ufunc buffer
-    (8,192 entries) through two such buffers, allocated on every call
-    (263 KB); a multiply of one row by the columns needs none. The row loop
-    costs ~1 us per row, 5-32x the broadcast on groups of many short rows.
-    """
-    if isinstance(targets, list):
-        for row, out in zip(rows, targets):
-            np.multiply(row, columns, out)
-    else:
-        np.multiply(rows[:, None], columns, targets)
-
-
 def _workspace_sizes(row_sets) -> tuple[int, int, int]:
     """Entries of the three regions of ``_row_products``' workspace over the
     row sets (t_rows, steps): the first level buffer of ``_tree_levels``, a
@@ -384,16 +359,18 @@ def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.n
     sets (t_rows, steps), concatenated in order, or None when H vanishes.
 
     A set is built and reduced ``_GROUP_STEPS // steps`` rows at a time (at
-    least one), so only one cache-sized group of factors is ever held. The
-    first level takes ``a`` as one complex number. A set of one group is
-    reduced to its roots at once. Otherwise every group stops at
-    ``_TOP_PAIRS`` pairs per row or fewer, and the rest of the tree runs
-    once over the stopped rows of ``_finished_rows`` rows at a time, in the
-    same association order. A set's groups have at most two row counts, the
-    full one and the last group's; the first group of each count records
-    the calls of its tree, and every later group of that count replays them
-    on the same views. All of it happens in one workspace allocated for all
-    the sets (``_workspace_sizes``).
+    least one), so only one cache-sized group of factors is ever held. A
+    group's factors are built by one broadcast, under numpy's ufunc buffer
+    of ``_BUILD_BUFFER`` entries while the set runs; the caller's size is
+    restored after it. The first level takes ``a`` as one complex number.
+    A set of one group is reduced to its roots at once. Otherwise every
+    group stops at ``_TOP_PAIRS`` pairs per row or fewer, and the rest of
+    the tree runs once over the stopped rows of ``_finished_rows`` rows at a
+    time, in the same association order. A set's groups have at most two
+    row counts, the full one and the last group's; the first group of each
+    count records the calls of its tree, and every later group of that count
+    replays them on the same views. All of it happens in one workspace
+    allocated for all the sets (``_workspace_sizes``).
     """
     need = _workspace_sizes(row_sets)
     work = None
@@ -425,35 +402,39 @@ def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.n
         stop = _TOP_PAIRS if several else 1
         held = _finished_rows(steps, per_group) if several else n_rows
         plans = {}
-        for chunk in range(0, n_rows, held):
-            chunk_rows = min(held, n_rows - chunk)
-            if several:
-                top = top_work[: 2 * chunk_rows * _top_width(steps)].reshape(2, chunk_rows, -1)
-            for start in range(chunk, chunk + chunk_rows, per_group):
-                count = min(per_group, n_rows - start)
-                group = plans.get(count)
-                if group is None:
-                    b = b_work[: count * steps].reshape(count, steps)
-                    targets, plan = _build_targets(b, min(n_rows, per_group)), []
-                    _build_group(rows[start : start + count], columns, targets)
-                    group = plans[count] = targets, plan, _tree_levels(a, b, stop, first, b_work, plan)
-                else:
-                    _build_group(rows[start : start + count], columns, group[0])
-                    _run(group[1])
-                la, lb = group[2]
+        buffer = np.setbufsize(_BUILD_BUFFER)
+        try:
+            for chunk in range(0, n_rows, held):
+                chunk_rows = min(held, n_rows - chunk)
                 if several:
-                    top[0, start - chunk : start - chunk + count] = la
-                    top[1, start - chunk : start - chunk + count] = lb
-            if chunk + held >= n_rows:
-                # The column exponential goes before the last pass over the
-                # stopped rows and the next set's factors are built, so that
-                # none of them stacks on it.
-                del columns
-            if several:  # every group stopped at _TOP_PAIRS: finish the chunk's rows at once
-                la, lb = _tree_levels(top[0], top[1], 1, first, b_work)
-            pa, pb = pair_unit(la[..., 0], lb[..., 0])
-            a_sets.append(pa)
-            b_sets.append(pb)
+                    top = top_work[: 2 * chunk_rows * _top_width(steps)].reshape(2, chunk_rows, -1)
+                for start in range(chunk, chunk + chunk_rows, per_group):
+                    count = min(per_group, n_rows - start)
+                    group = plans.get(count)
+                    b = b_work[: count * steps].reshape(count, steps) if group is None else group[0]
+                    # the row factor first: the other order rounds differently
+                    np.multiply(rows[start : start + count, None], columns, b)
+                    if group is None:
+                        plan = []
+                        group = plans[count] = b, plan, _tree_levels(a, b, stop, first, b_work, plan)
+                    else:
+                        _run(group[1])
+                    la, lb = group[2]
+                    if several:
+                        top[0, start - chunk : start - chunk + count] = la
+                        top[1, start - chunk : start - chunk + count] = lb
+                if chunk + held >= n_rows:
+                    # The column exponential goes before the last pass over the
+                    # stopped rows and the next set's factors are built, so that
+                    # none of them stacks on it.
+                    del columns
+                if several:  # every group stopped at _TOP_PAIRS: finish the chunk's rows at once
+                    la, lb = _tree_levels(top[0], top[1], 1, first, b_work)
+                pa, pb = pair_unit(la[..., 0], lb[..., 0])
+                a_sets.append(pa)
+                b_sets.append(pb)
+        finally:
+            np.setbufsize(buffer)
     if len(a_sets) == 1:  # nothing to join
         return a_sets[0], b_sets[0]
     return np.concatenate(a_sets), np.concatenate(b_sets)

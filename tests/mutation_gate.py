@@ -113,6 +113,12 @@ MUTATIONS = [
         'args = build_parser().parse_args(argv, globals().setdefault("_ARGS", argparse.Namespace()))',
     ),
     (
+        "cli: main returns 0 when a check fails",
+        "cli.py",
+        "return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED",
+        "return EXIT_OK",
+    ),
+    (
         "cli: parser rebuilt on every main call",
         "cli.py",
         "@functools.cache\ndef build_parser",
@@ -177,9 +183,9 @@ MUTATIONS = [
         "rows: the top rows placed in reverse group order",
         "evolution.py",
         "top[0, start - chunk : start - chunk + count] = la\n"
-        "                    top[1, start - chunk : start - chunk + count] = lb\n",
+        "                        top[1, start - chunk : start - chunk + count] = lb\n",
         "top[0, chunk + chunk_rows - start - count : chunk + chunk_rows - start] = la\n"
-        "                    top[1, chunk + chunk_rows - start - count : chunk + chunk_rows - start] = lb\n",
+        "                        top[1, chunk + chunk_rows - start - count : chunk + chunk_rows - start] = lb\n",
     ),
     (
         "rows: the stopped rows of a set finished in one pass",
@@ -200,16 +206,40 @@ MUTATIONS = [
         "group = plans.get(per_group)",
     ),
     (
-        "rows: the row build's operands swapped",
+        "rows: the build buffer left at numpy's default",
         "evolution.py",
-        "np.multiply(row, columns, out)",
-        "np.multiply(columns, row, out)",
+        "buffer = np.setbufsize(_BUILD_BUFFER)",
+        "buffer = np.getbufsize()",
     ),
     (
-        "rows: the 32-row rule of the row build inverted",
+        "rows: the caller's buffer size not restored",
         "evolution.py",
-        "list(b) if group_rows <= _ROW_BUILD_ROWS else b",
-        "list(b) if group_rows > _ROW_BUILD_ROWS else b",
+        "np.setbufsize(buffer)",
+        "pass",
+    ),
+    (
+        "streaming: the row start shifted by one step",
+        "evolution.py",
+        "np.exp(-1j * p.omega_drive * t_rows)",
+        "np.exp(-1j * p.omega_drive * (t_rows + dt))",
+    ),
+    (
+        "streaming: the 1/2 of the column times dropped",
+        "evolution.py",
+        "np.arange(0.5, steps)",
+        "np.arange(0.0, steps)",
+    ),
+    (
+        "streaming: the short last block dropped",
+        "evolution.py",
+        "    if rest:\n        row_sets.append((np.array([full * size * dt]), rest))\n",
+        "",
+    ),
+    (
+        "streaming: the column phase conjugated",
+        "evolution.py",
+        "columns = np.exp(-1j * p.omega_drive",
+        "columns = np.exp(1j * p.omega_drive",
     ),
     (
         "pairs: pair_mul's operands swapped",

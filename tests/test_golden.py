@@ -20,6 +20,7 @@ import io
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -109,39 +110,65 @@ def same_value(got: str, want: str) -> bool:
     return abs(g - w) <= FLOAT_TOL * max(1.0, abs(w))
 
 
-def assert_same_fields(got_rows, want_rows, sep: str, what: str) -> None:
-    """Row by row: the same keys (or field count) in order, each value alike."""
-    assert len(got_rows) == len(want_rows), f"{what}: {len(got_rows)} lines, want {len(want_rows)}"
-    for number, (got, want) in enumerate(zip(got_rows, want_rows), 1):
+def field_mismatch(got_rows, want_rows, sep: str) -> str | None:
+    """Row by row: the same keys (or field count) in order, each value alike;
+    the first difference, or None."""
+    if len(got_rows) != len(want_rows):
+        return f"{len(got_rows)} lines, want {len(want_rows)}"
+    for number, (got, want) in enumerate(zip(got_rows, want_rows), 2):
         if sep == "=":
             (got_key, _, got), (want_key, _, want) = got.partition("="), want.partition("=")
-            assert got_key == want_key, f"{what} line {number}: key {got_key!r}, want {want_key!r}"
+            if got_key != want_key:
+                return f"line {number}: key {got_key!r}, want {want_key!r}"
             got, want = [got], [want]
         else:
             got, want = got.split(sep), want.split(sep)
-            assert len(got) == len(want), f"{what} line {number}: {len(got)} fields"
+            if len(got) != len(want):
+                return f"line {number}: {len(got)} fields, want {len(want)}"
         for g, w in zip(got, want):
-            assert same_value(g, w), f"{what} line {number}: {g!r}, want {w!r}"
+            if not same_value(g, w):
+                return f"line {number}: {g!r}, want {w!r}"
+    return None
+
+
+def mismatch(name: str, got: str, want: str) -> str | None:
+    """Where the text ``got`` of the golden file ``name`` departs from its
+    recorded text ``want`` by the rules above, or None if it matches: the
+    first line (the exit code, or a CSV's header) exactly, then the fields of
+    a ``--machine`` output or a CSV; a written record byte for byte."""
+    if name in WRITTEN.values() and not name.endswith(".csv"):
+        return None if got == want else "not the same bytes"
+    got_rows, want_rows = got.splitlines(), want.splitlines()
+    if got_rows[:1] != want_rows[:1]:
+        return f"line 1: {got_rows[:1]}, want {want_rows[:1]}"
+    return field_mismatch(got_rows[1:], want_rows[1:], "," if name.endswith(".csv") else "=")
+
+
+def outputs(stem: str) -> dict[str, str]:
+    """Golden file name -> text of the case ``stem``, run in the current
+    directory: its ``run`` output and the file it writes, if any."""
+    texts = {f"{stem}.txt": run(CASES[stem])}
+    written = WRITTEN.get(stem)
+    if written is not None:
+        texts[written] = Path(written).read_text(encoding="utf-8")
+    return texts
+
+
+def refresh(path: Path, got: str) -> bool:
+    """Write ``got`` to the golden file ``path`` if it is missing or
+    ``mismatch`` finds a difference; returns whether it wrote."""
+    if path.exists() and mismatch(path.name, got, path.read_text(encoding="utf-8")) is None:
+        return False
+    path.write_text(got, encoding="utf-8", newline="\n")
+    return True
 
 
 @pytest.mark.parametrize("stem", list(CASES))
 def test_output_matches_its_golden_file(stem, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    got = run(CASES[stem]).splitlines()
-    want = (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8").splitlines()
-    assert got[0] == want[0]  # the exit code
-    assert_same_fields(got[1:], want[1:], "=", f"{stem}.txt")
-    written = WRITTEN.get(stem)
-    if written is None:
-        return
-    got_file = (tmp_path / written).read_text(encoding="utf-8")
-    want_file = (GOLDEN / written).read_text(encoding="utf-8")
-    if written.endswith(".csv"):
-        got_lines, want_lines = got_file.splitlines(), want_file.splitlines()
-        assert got_lines[0] == want_lines[0]  # the header
-        assert_same_fields(got_lines[1:], want_lines[1:], ",", written)
-    else:
-        assert got_file == want_file
+    for name, got in outputs(stem).items():
+        want = (GOLDEN / name).read_text(encoding="utf-8")
+        assert mismatch(name, got, want) is None, f"{name}: {mismatch(name, got, want)}"
 
 
 def test_same_value_accepts_rounding_only():
@@ -158,25 +185,39 @@ def test_same_value_accepts_rounding_only():
     assert not same_value("nan", "0.5")
 
 
-def regenerate() -> None:
-    """Rewrite every golden file from this checkout's CLI."""
+def test_refresh_rewrites_only_what_moved_beyond_rounding(tmp_path):
+    path = tmp_path / "verify.txt"
+    want = "exit=0\ncommand=verify\nexact_error=1.84946e-12\n"
+    path.write_text(want, encoding="utf-8")
+    assert not refresh(path, want.replace("1.84946e-12", "1.84941e-12"))  # moved within FLOAT_TOL
+    assert path.read_text(encoding="utf-8") == want
+    for moved in (want.replace("1.84946e-12", "1.9e-12"), want.replace("exact_error", "exact_err")):
+        assert refresh(path, moved)
+        assert path.read_text(encoding="utf-8") == moved
+    record = tmp_path / WRITTEN["synth_Hadamard_7"]
+    record.write_text("betas=0.1\n", encoding="utf-8")
+    assert refresh(record, "betas=0.10000000000000001\n")  # a record is compared byte for byte
+
+
+def regenerate() -> list[str]:
+    """Rewrite the golden files whose output from this checkout's CLI no
+    longer matches them (``refresh``); returns their names."""
     GOLDEN.mkdir(exist_ok=True)
     here = os.getcwd()
-    work = GOLDEN / ".work"
-    work.mkdir(exist_ok=True)
-    os.chdir(work)
-    try:
-        for stem, argv in CASES.items():
-            (GOLDEN / f"{stem}.txt").write_text(run(argv), encoding="utf-8", newline="\n")
-            if stem in WRITTEN:
-                os.replace(WRITTEN[stem], GOLDEN / WRITTEN[stem])
-            for leftover in os.listdir("."):
-                os.remove(leftover)
-    finally:
-        os.chdir(here)
-        work.rmdir()
+    rewritten = []
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for stem in CASES:
+                for name, got in outputs(stem).items():
+                    if refresh(GOLDEN / name, got):
+                        rewritten.append(name)
+        finally:
+            os.chdir(here)
+    return rewritten
 
 
 if __name__ == "__main__":
-    regenerate()
+    for name in regenerate():
+        print(f"rewrote {name}")
     sys.exit(0)
