@@ -16,10 +16,11 @@ The product is streamed. The steps fall into consecutive blocks of 2^k
 steps, with the smallest k that leaves at most ``_SCAN_BLOCKS`` blocks. The
 factors of a group of about ``_GROUP_STEPS`` steps are built as rows of whole
 blocks and each row is reduced by the tree along its last axis, every level
-written into one workspace allocated once per call, so only one cache-sized
-group is ever held: a ``verify`` peaks at ~1.4 MB (tracemalloc) at 10^6 and
-10^7 steps alike. The first group of each row count records the calls of its
-levels, and every later group of that count replays them on the same views.
+written into one workspace allocated once per row set, so only one
+cache-sized group is ever held: a ``verify`` peaks at ~1.4 MB (tracemalloc)
+at 10^6 and 10^7 steps alike. Every tree is planned before it runs, as the
+list of calls that write its levels; a group's tree is planned once per row
+count, on views of the workspace, and run for every group of that count.
 Inside a row the drive phase factors exactly into a row and a column
 exponential, so a factor costs one complex multiply instead of a sin and a
 cos; ``a`` is the same for every factor, so the first level takes it as one
@@ -187,20 +188,21 @@ def _level_sizes(rows: int, width: int, scalar_a: bool) -> tuple[int, int]:
     return rows * (2 * first + (0 if scalar_a else width // 2)), rows * (2 * second + first // 2)
 
 
-def _pair_level(a, b: np.ndarray, out: np.ndarray | None, plan: list | None = None):
-    """One level of the pair tree along the last axis: pair j of the level is
-    pair 2j + 1 times pair 2j by the formula of ``pair_mul``, and an odd last
-    pair is carried unchanged into the last slot. Returns the level (a, b).
+def _pair_level(a, b: np.ndarray, out: np.ndarray | None, calls: list):
+    """Append to ``calls`` the calls that write one level of the pair tree
+    along the last axis, and return the level (a, b) they write: pair j of
+    the level is pair 2j + 1 times pair 2j by the formula of ``pair_mul``,
+    and an odd last pair is carried unchanged into the last slot. The calls
+    are (function, operands) for ``_run``: ``_array_level`` or
+    ``_scalar_level``, then ``_carry`` for an odd width. Nothing is computed
+    until they run; the operands are views, so the calls write the level
+    again whenever new pairs stand in the same places.
 
     The level is written contiguously into the 1-D buffer ``out``, its a
     before its b and its temporary right behind them; ``out`` may not overlap
     the pairs read. Without a buffer the level and its temporary are new
     arrays, which costs less than making views for the few pairs of a final
-    tree. When ``plan`` is a list, the calls that wrote the level are
-    appended to it as (function, operands) for ``_run``: ``_array_level`` or
-    ``_scalar_level``, then ``_carry`` for an odd width. The operands are
-    views, so the calls write the level again whenever new pairs stand in
-    the same places.
+    tree.
 
     ``a`` is an array shaped like ``b``, or one complex number shared by
     every pair, as on the first level over ``_step_factors``' rows: then
@@ -222,21 +224,15 @@ def _pair_level(a, b: np.ndarray, out: np.ndarray | None, plan: list | None = No
             t = np.empty(t_shape, dtype=complex)
         else:
             t = out[level.size : level.size + math.prod(t_shape)].reshape(t_shape)
-        function, operands = _array_level, (a[..., 1::2], b1, a[..., : 2 * n : 2], b0, pa, pb, t)
+        calls.append((_array_level, (a[..., 1::2], b1, a[..., : 2 * n : 2], b0, pa, pb, t)))
         carry = a[..., -1]
     else:
         # a a by numpy's loop, which may fuse multiply and add, so that it
         # rounds as the array product does; Python's complex multiply does not
-        function, operands = _scalar_level, (a, a.conjugate(), np.multiply(np.asarray(a), a), b1, b0, pa, pb)
+        calls.append((_scalar_level, (a, a.conjugate(), np.multiply(np.asarray(a), a), b1, b0, pa, pb)))
         carry = a
-    function(*operands)
-    if plan is not None:
-        plan.append((function, operands))
     if width % 2:
-        carried = la, lb, n, carry, b[..., -1]
-        _carry(*carried)
-        if plan is not None:
-            plan.append((_carry, carried))
+        calls.append((_carry, (la, lb, n, carry, b[..., -1])))
     return la, lb
 
 
@@ -246,7 +242,7 @@ def _array_level(
     """(pa, pb) = (a1, b1) times (a0, b0) by the formula of ``pair_mul``, in
     8 array passes through the temporary ``t``. The ufuncs are bound as
     defaults, since on the narrow levels of a tree looking them up on ``np``
-    costs about as much as a replayed level saves."""
+    costs about as much as planning a row count once saves."""
     conj(b0, pa)
     mul(b1, pa, t)
     mul(a1, a0, pb)
@@ -277,20 +273,20 @@ def _carry(la, lb, n, a, b) -> None:
     lb[..., n] = b
 
 
-def _tree_levels(a, b: np.ndarray, stop: int, first=None, second=None, plan=None):
-    """Reduce the pairs (a, b) along the last axis by ``_pair_level`` until
-    at most ``stop`` pairs per row remain, writing the odd levels into the
-    1-D buffer ``first`` and the even ones into ``second`` (see
-    ``_level_sizes``), or into new arrays without buffers, and appending
-    their calls to the list ``plan`` if one is given; returns the last
-    level, which is (a, b) when ``stop`` is already met. ``second`` may hold
-    the pairs (a, b) themselves, since the first level has read them before
-    the second is written."""
-    out, spare = first, second
+def _tree_levels(a, b: np.ndarray, stop: int, first=None, second=None):
+    """Plan the reduction of the pairs (a, b) along the last axis by
+    ``_pair_level`` until at most ``stop`` pairs per row remain, the odd
+    levels written into the 1-D buffer ``first`` and the even ones into
+    ``second`` (see ``_level_sizes``), or into new arrays without buffers.
+    Returns (plan, level): the calls of every level in order, for ``_run``,
+    and the views of the last level, which is (a, b) with an empty plan when
+    ``stop`` is already met. ``second`` may hold the pairs (a, b) themselves,
+    since the first level has read them before the second is written."""
+    plan, out, spare = [], first, second
     while b.shape[-1] > stop:
         a, b = _pair_level(a, b, out, plan)
         out, spare = spare, out
-    return a, b
+    return plan, (a, b)
 
 
 def _run(plan) -> None:
@@ -315,7 +311,8 @@ def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     cannot move the rotation: the root alone is divided by
     sqrt(|a|^2 + |b|^2).
     """
-    a, b = _tree_levels(a, b, 1)
+    plan, (a, b) = _tree_levels(a, b, 1)
+    _run(plan)
     return pair_unit(a[..., 0], b[..., 0])
 
 
@@ -334,110 +331,88 @@ def _finished_rows(steps: int, per_group: int) -> int:
     return per_group * max(1, _FINISH_STEPS // (per_group * steps))
 
 
-def _workspace_sizes(row_sets) -> tuple[int, int, int]:
-    """Entries of the three regions of ``_row_products``' workspace over the
-    row sets (t_rows, steps): the first level buffer of ``_tree_levels``, a
-    group's ``b``, which is its second level buffer, and the stopped rows of
-    a set."""
-    need = (0, 0, 0)
-    for t_rows, steps in row_sets:
-        if steps == 1:
-            continue
-        n_rows, per_group = len(t_rows), max(1, _GROUP_STEPS // steps)
-        rows = min(n_rows, per_group)
-        group = _level_sizes(rows, steps, scalar_a=True)
-        need = tuple(map(max, need, (group[0], max(rows * steps, group[1]), 0)))
-        if n_rows > per_group:
-            top, held = _top_width(steps), min(n_rows, _finished_rows(steps, per_group))
-            top_sizes = (*_level_sizes(held, top, scalar_a=False), 2 * held * top)
-            need = tuple(map(max, need, top_sizes))
-    return need
+def _joined(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D pairs (a, b) of ``parts`` joined in order."""
+    if len(parts) == 1:  # nothing to join
+        return parts[0]
+    a_parts, b_parts = zip(*parts)
+    return np.concatenate(a_parts), np.concatenate(b_parts)
 
 
-def _row_products(p: DriveParams, dt: float, row_sets) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pair product of every row of ``_step_factors`` over the list of row
-    sets (t_rows, steps), concatenated in order, or None when H vanishes.
+def _row_products(
+    p: DriveParams, dt: float, t_rows: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Pair product of every row of ``_step_factors`` with ``steps`` steps
+    from the times ``t_rows``, or None when H vanishes.
 
-    A set is built and reduced ``_GROUP_STEPS // steps`` rows at a time (at
+    The rows are built and reduced ``_GROUP_STEPS // steps`` at a time (at
     least one), so only one cache-sized group of factors is ever held. A
     group's factors are built by one broadcast, under numpy's ufunc buffer
-    of ``_BUILD_BUFFER`` entries while the set runs; the caller's size is
-    restored after it. The first level takes ``a`` as one complex number.
-    A set of one group is reduced to its roots at once. Otherwise every
-    group stops at ``_TOP_PAIRS`` pairs per row or fewer, and the rest of
-    the tree runs once over the stopped rows of ``_finished_rows`` rows at a
-    time, in the same association order. A set's groups have at most two
-    row counts, the full one and the last group's; the first group of each
-    count records the calls of its tree, and every later group of that count
-    replays them on the same views. All of it happens in one workspace
-    allocated for all the sets (``_workspace_sizes``).
+    of ``_BUILD_BUFFER`` entries; the caller's size is restored after it.
+    The first level takes ``a`` as one complex number. Rows of one group are
+    reduced to their roots at once. Otherwise every group stops at
+    ``_TOP_PAIRS`` pairs per row or fewer, and the rest of the tree runs
+    once over the stopped rows of ``_finished_rows`` rows at a time, in the
+    same association order. The groups have at most two row counts, the
+    full one and the last group's: the tree of each count is planned once,
+    on views of one workspace, and run for every group of that count.
     """
-    need = _workspace_sizes(row_sets)
-    work = None
-    a_sets, b_sets = [], []
-    for t_rows, steps in row_sets:
-        factors = _step_factors(p, t_rows, dt, steps)
-        if factors is None:
-            return None
-        a, rows, columns = factors
-        del factors
-        n_rows, per_group = len(t_rows), max(1, _GROUP_STEPS // steps)
-        if steps == 1:
-            # one exact factor per row: no tree runs, so there is no norm to divide
-            a_sets.append(np.full(n_rows, a))
-            b_sets.append(rows * columns[0])
-            continue
-        if n_rows == 0:
-            continue
-        if work is None:
-            # One block rather than three: glibc serves the first from mmap
-            # and then raises its mmap and trim thresholds to the block's
-            # size, so later calls find it in the heap instead of faulting it
-            # in again. It comes after the first set's factors, so that the
-            # temporaries of their column exponential do not stack on it.
-            work = np.empty(sum(need), dtype=complex)
-            ends = accumulate(need)
-            first, b_work, top_work = (work[end - n : end] for n, end in zip(need, ends))
-        several = n_rows > per_group
-        stop = _TOP_PAIRS if several else 1
-        held = _finished_rows(steps, per_group) if several else n_rows
-        plans = {}
-        buffer = np.setbufsize(_BUILD_BUFFER)
-        try:
-            for chunk in range(0, n_rows, held):
-                chunk_rows = min(held, n_rows - chunk)
+    factors = _step_factors(p, t_rows, dt, steps)
+    if factors is None:
+        return None
+    a, rows, columns = factors
+    del factors
+    n_rows, per_group = len(t_rows), max(1, _GROUP_STEPS // steps)
+    if steps == 1:
+        # one exact factor per row: no tree runs, so there is no norm to divide
+        return np.full(n_rows, a), rows * columns[0]
+    several = n_rows > per_group
+    stop = _TOP_PAIRS if several else 1
+    held = _finished_rows(steps, per_group) if several else n_rows
+    # The workspace: the first level buffer of _tree_levels, a group's b,
+    # which is its second level buffer, and the stopped rows.
+    group, top_rows, width = min(n_rows, per_group), min(n_rows, held), _top_width(steps)
+    first_size, second_size = _level_sizes(group, steps, scalar_a=True)
+    need = [first_size, max(group * steps, second_size), 0]
+    if several:
+        need = [*map(max, need, _level_sizes(top_rows, width, scalar_a=False)), 2 * top_rows * width]
+    # One block rather than three: glibc serves the first from mmap and then
+    # raises its mmap and trim thresholds to the block's size, so later calls
+    # find it in the heap instead of faulting it in again. It comes after the
+    # factors, so that the temporaries of their column exponential do not
+    # stack on it.
+    work = np.empty(sum(need), dtype=complex)
+    first, b_work, top_work = (work[end - n : end] for n, end in zip(need, accumulate(need)))
+    roots, plans = [], {}
+    buffer = np.setbufsize(_BUILD_BUFFER)
+    try:
+        for chunk in range(0, n_rows, held):
+            chunk_rows = min(held, n_rows - chunk)
+            if several:
+                top = top_work[: 2 * chunk_rows * width].reshape(2, chunk_rows, width)
+            for start in range(chunk, chunk + chunk_rows, per_group):
+                count = min(per_group, n_rows - start)
+                if count not in plans:
+                    b = b_work[: count * steps].reshape(count, steps)
+                    plans[count] = b, *_tree_levels(a, b, stop, first, b_work)
+                b, plan, (la, lb) = plans[count]
+                # the row factor first: the other order rounds differently
+                np.multiply(rows[start : start + count, None], columns, b)
+                _run(plan)
                 if several:
-                    top = top_work[: 2 * chunk_rows * _top_width(steps)].reshape(2, chunk_rows, -1)
-                for start in range(chunk, chunk + chunk_rows, per_group):
-                    count = min(per_group, n_rows - start)
-                    group = plans.get(count)
-                    b = b_work[: count * steps].reshape(count, steps) if group is None else group[0]
-                    # the row factor first: the other order rounds differently
-                    np.multiply(rows[start : start + count, None], columns, b)
-                    if group is None:
-                        plan = []
-                        group = plans[count] = b, plan, _tree_levels(a, b, stop, first, b_work, plan)
-                    else:
-                        _run(group[1])
-                    la, lb = group[2]
-                    if several:
-                        top[0, start - chunk : start - chunk + count] = la
-                        top[1, start - chunk : start - chunk + count] = lb
-                if chunk + held >= n_rows:
-                    # The column exponential goes before the last pass over the
-                    # stopped rows and the next set's factors are built, so that
-                    # none of them stacks on it.
-                    del columns
-                if several:  # every group stopped at _TOP_PAIRS: finish the chunk's rows at once
-                    la, lb = _tree_levels(top[0], top[1], 1, first, b_work)
-                pa, pb = pair_unit(la[..., 0], lb[..., 0])
-                a_sets.append(pa)
-                b_sets.append(pb)
-        finally:
-            np.setbufsize(buffer)
-    if len(a_sets) == 1:  # nothing to join
-        return a_sets[0], b_sets[0]
-    return np.concatenate(a_sets), np.concatenate(b_sets)
+                    top[0, start - chunk : start - chunk + count] = la
+                    top[1, start - chunk : start - chunk + count] = lb
+            if chunk + held >= n_rows:
+                # The column exponential goes before the last pass over the
+                # stopped rows, so that the pass does not stack on it.
+                del columns
+            if several:  # every group stopped at _TOP_PAIRS: finish the chunk's rows at once
+                plan, (la, lb) = _tree_levels(top[0], top[1], 1, first, b_work)
+                _run(plan)
+            roots.append(pair_unit(la[..., 0], lb[..., 0]))
+    finally:
+        np.setbufsize(buffer)
+    return _joined(roots)
 
 
 def _scan_level(p: DriveParams, duration: float, steps: int):
@@ -445,22 +420,25 @@ def _scan_level(p: DriveParams, duration: float, steps: int):
     from t = 0, the smallest k with at most ``_SCAN_BLOCKS`` blocks; only the
     last block can be shorter. None when H vanishes.
 
-    The full blocks are the rows of one set of ``_row_products`` and a short
-    last block is one more row, so the block pairs are the tree level that
-    one tree over all the steps would pass through, up to their norms: each
-    is divided by its norm as the root of its row's tree, except a block of
-    one step, which is one exact factor.
+    The full blocks are the rows of one call of ``_row_products`` and a short
+    last block the one row of another, so the block pairs are the tree level
+    that one tree over all the steps would pass through, up to their norms:
+    each is divided by its norm as the root of its row's tree, except a
+    block of one step, which is one exact factor.
     """
     size = 1
     while -(-steps // size) > _SCAN_BLOCKS:
         size *= 2
     dt = duration / steps
     full, rest = divmod(steps, size)
-    row_sets = [(np.arange(full) * (size * dt), size)]
+    blocks = []
+    if full:  # none only when a block holds more than all the steps
+        blocks.append(_row_products(p, dt, np.arange(full) * (size * dt), size))
     if rest:
-        row_sets.append((np.array([full * size * dt]), rest))
-    pairs = _row_products(p, dt, row_sets)
-    return None if pairs is None else (size, *pairs)
+        blocks.append(_row_products(p, dt, np.array([full * size * dt]), rest))
+    if blocks[0] is None:
+        return None
+    return size, *_joined(blocks)
 
 
 def _prefix_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,12 +507,7 @@ def exact_propagator(p: DriveParams, t) -> np.ndarray:
     c = np.cos(0.5 * lam * t)
     s = np.sin(0.5 * lam * t)
     frame = np.exp(-0.5j * w * t)
-    u = np.empty(t.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = frame * (c - 1j * s * nz)
-    u[..., 0, 1] = frame * (-1j * s * nx)
-    u[..., 1, 0] = frame.conj() * (-1j * s * nx)
-    u[..., 1, 1] = frame.conj() * (c + 1j * s * nz)
-    return u
+    return pair_matrix(frame * (c - 1j * s * nz), frame * (-1j * s * nx))
 
 
 def _energy(p: DriveParams, ts: np.ndarray, psi0, psi1) -> np.ndarray:

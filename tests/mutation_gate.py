@@ -139,15 +139,8 @@ MUTATIONS = [
     (
         "tree: the odd-carry slot left unwritten",
         "evolution.py",
-        "    if width % 2:\n        carried = la, lb, n, carry, b[..., -1]\n        _carry(*carried)\n"
-        "        if plan is not None:\n            plan.append((_carry, carried))\n",
+        "    if width % 2:\n        calls.append((_carry, (la, lb, n, carry, b[..., -1])))\n",
         "",
-    ),
-    (
-        "tree: the odd carry left out of the recorded calls",
-        "evolution.py",
-        "            plan.append((_carry, carried))\n",
-        "            pass\n",
     ),
     (
         "tree: the scalar level's a a changed to a conj(a)",
@@ -176,16 +169,16 @@ MUTATIONS = [
     (
         "rows: the root division dropped",
         "evolution.py",
-        "pa, pb = pair_unit(la[..., 0], lb[..., 0])",
-        "pa, pb = la[..., 0], lb[..., 0]",
+        "roots.append(pair_unit(la[..., 0], lb[..., 0]))",
+        "roots.append((la[..., 0], lb[..., 0]))",
     ),
     (
         "rows: the top rows placed in reverse group order",
         "evolution.py",
         "top[0, start - chunk : start - chunk + count] = la\n"
-        "                        top[1, start - chunk : start - chunk + count] = lb\n",
+        "                    top[1, start - chunk : start - chunk + count] = lb\n",
         "top[0, chunk + chunk_rows - start - count : chunk + chunk_rows - start] = la\n"
-        "                        top[1, chunk + chunk_rows - start - count : chunk + chunk_rows - start] = lb\n",
+        "                    top[1, chunk + chunk_rows - start - count : chunk + chunk_rows - start] = lb\n",
     ),
     (
         "rows: the stopped rows of a set finished in one pass",
@@ -194,16 +187,10 @@ MUTATIONS = [
         "held = n_rows",
     ),
     (
-        "rows: the workspace sized for the first row set only",
-        "evolution.py",
-        "    for t_rows, steps in row_sets:\n        if steps == 1:\n            continue\n",
-        "    for t_rows, steps in row_sets[:1]:\n        if steps == 1:\n            continue\n",
-    ),
-    (
         "rows: a plan reused for a group with another row count",
         "evolution.py",
-        "group = plans.get(count)",
-        "group = plans.get(per_group)",
+        "b, plan, (la, lb) = plans[count]",
+        "b, plan, (la, lb) = next(iter(plans.values()))",
     ),
     (
         "rows: the build buffer left at numpy's default",
@@ -232,14 +219,26 @@ MUTATIONS = [
     (
         "streaming: the short last block dropped",
         "evolution.py",
-        "    if rest:\n        row_sets.append((np.array([full * size * dt]), rest))\n",
+        "    if rest:\n        blocks.append(_row_products(p, dt, np.array([full * size * dt]), rest))\n",
         "",
+    ),
+    (
+        "streaming: the short last block put first",
+        "evolution.py",
+        "blocks.append(_row_products(p, dt, np.array([full * size * dt]), rest))",
+        "blocks.insert(0, _row_products(p, dt, np.array([full * size * dt]), rest))",
     ),
     (
         "streaming: the column phase conjugated",
         "evolution.py",
         "columns = np.exp(-1j * p.omega_drive",
         "columns = np.exp(1j * p.omega_drive",
+    ),
+    (
+        "quadrature: conj(psi0) dropped from the energy",
+        "evolution.py",
+        "2.0 * (psi0.conj() * h01 * psi1).real",
+        "2.0 * (psi0 * h01 * psi1).real",
     ),
     (
         "pairs: pair_mul's operands swapped",
@@ -284,6 +283,18 @@ MUTATIONS = [
         "    dz = p.detuning - w\n    om = p.omega_rabi\n",
     ),
     (
+        "drive: invariant reads Delta - w from Delta again",
+        "drive.py",
+        "    dz = p.offset\n    return np.array([[dz, off]",
+        "    dz = p.detuning - p.omega_drive\n    return np.array([[dz, off]",
+    ),
+    (
+        "drive: lr_phase reads Delta - w from Delta again",
+        "drive.py",
+        "lam = math.hypot(p.omega_rabi, p.offset)",
+        "lam = math.hypot(p.omega_rabi, p.detuning - p.omega_drive)",
+    ),
+    (
         "exact: the sign of the axis component nz flipped",
         "evolution.py",
         "(p.omega_rabi / lam, dz / lam)",
@@ -294,6 +305,18 @@ MUTATIONS = [
         "evolution.py",
         "frame = np.exp(-0.5j * w * t)",
         "frame = np.exp(0.5j * w * t)",
+    ),
+    (
+        "exact: the 1/2 of the rotation angle dropped from the cosine",
+        "evolution.py",
+        "c = np.cos(0.5 * lam * t)",
+        "c = np.cos(lam * t)",
+    ),
+    (
+        "exact: reads Delta - w from Delta again",
+        "evolution.py",
+        "    dz = p.offset\n",
+        "    dz = p.detuning - w\n",
     ),
 ]
 

@@ -70,7 +70,7 @@ def gaps(p, steps, frac, samples, per_segment, max_blocks):
     ends = np.minimum(size * np.arange(1, scan_a.shape[0] + 1), steps)
     times = np.linspace(0.0, duration, samples)
     dt = duration / (samples - 1) / per_segment
-    snapshots = evolution._prefix_products(*evolution._row_products(p, dt, [(times[:-1], per_segment)]))
+    snapshots = evolution._prefix_products(*evolution._row_products(p, dt, times[:-1], per_segment))
     rows = step_factors(p, times[:-1, None], duration / (samples - 1), per_segment)
     one_shot = evolution._prefix_products(*tree_product(*rows))
     segment_ends = per_segment * np.arange(1, samples)

@@ -9,6 +9,7 @@ from hologate import (
     analytic_gate,
     dynamical_integrand,
     eigensystem,
+    exact_propagator,
     hamiltonian,
     holonomy_residual,
     invariant,
@@ -249,6 +250,22 @@ def test_offset_is_the_rotating_frame_detuning_and_takes_no_part_in_equality():
     same = DriveParams(p.omega_rabi, p.detuning, 1.0)
     assert same.offset != p.offset
     assert same == p and hash(same) == hash(p) and repr(same) == repr(p)
+
+
+def test_closed_forms_read_the_stored_offset_not_detuning_minus_drive():
+    # Store an offset apart from Delta - w, as params_from_beta does: every
+    # closed form in the rotating frame must then follow the stored offset,
+    # as if the detuning were w + offset. At small beta the two readings
+    # part by ~eps only, which no verdict sees.
+    p = DriveParams(0.7, -0.3, 1.3)
+    object.__setattr__(p, "offset", 0.25)
+    same = DriveParams(0.7, 1.3 + 0.25, 1.3)
+    assert abs(same.offset - 0.25) <= 1e-15 and abs(p.offset - (p.detuning - p.omega_drive)) > 1.0
+    times = np.linspace(-2.0, 7.0, 11)
+    for t in times:
+        assert max_abs(invariant(p, t) - invariant(same, t)) <= 1e-15
+        assert max(abs(x - y) for x, y in zip(lr_phase(p, t), lr_phase(same, t))) <= 1e-15
+    assert max_abs(exact_propagator(p, times) - exact_propagator(same, times)) <= 1e-15
 
 
 def test_holonomic_family_is_never_adiabatic():

@@ -165,15 +165,15 @@ def unit_pairs(rng, shape):
 @example(rows=2, width=33, scalar_a=False, stop=evolution._TOP_PAIRS, groups=3, seed=0)  # 33, 17, then 9
 @example(rows=2, width=16, scalar_a=True, stop=evolution._TOP_PAIRS, groups=2, seed=0)  # the stop already met
 def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a, stop, groups, seed):
-    # _row_products runs the tree of a set's first group in two level
+    # _row_products plans the tree of a row count once in two level
     # buffers, the second of which holds the group's b, with each level's
-    # temporary behind the level, records its calls, and replays them on
-    # every later group of the same row count; the final tree makes new
-    # arrays. Each group here brings new pairs into the recorded inputs, and
-    # the reference reduces copies of them, so a level or temporary written
-    # over an input or over a level still being read cannot pass. The buffers
-    # are NaN again before every group, so neither can a slot left unwritten,
-    # nor a recorded call that holds a value of an earlier group.
+    # temporary behind the level, and runs the plan for every group of that
+    # count; the final tree makes new arrays. Each group here brings new pairs
+    # into the planned inputs, and the reference reduces copies of them, so a
+    # level or temporary written over an input or over a level still being
+    # read cannot pass. The buffers are NaN again before every group, so
+    # neither can a slot left unwritten, nor a planned call that holds a
+    # value of an earlier group.
     rng = np.random.default_rng(seed)
     first, second = evolution._level_sizes(rows, width, scalar_a)
     first = np.empty(first, dtype=complex)
@@ -193,13 +193,12 @@ def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a
         else:
             a[...] = new_a
         b[...] = new_b
-        want_a, want_b = evolution._tree_levels(a if scalar_a else new_a.copy(), new_b.copy(), stop)
-        if plan is None:  # the first group runs the tree and records it
-            plan = []
-            got_a, got_b = evolution._tree_levels(a, b, stop, first, second, plan)
+        want_plan, (want_a, want_b) = evolution._tree_levels(a if scalar_a else new_a.copy(), new_b.copy(), stop)
+        evolution._run(want_plan)
+        if plan is None:  # planned once, before the first group's pairs are reduced
+            plan, (got_a, got_b) = evolution._tree_levels(a, b, stop, first, second)
             assert got_b.shape == (rows, evolution._top_width(width) if stop > 1 else 1)
-        else:
-            evolution._run(plan)
+        evolution._run(plan)
         assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
 
 
@@ -244,12 +243,12 @@ CORNER = DriveParams(2.0, 2.0, 0.5)
 
 def segment_snapshots(p, duration, samples, per_segment):
     """The propagator at t_i = i duration / (samples - 1), i = 1 .. samples - 1,
-    as pairs: the segments between the times are the rows of one set of
+    as pairs: the segments between the times are the rows of one call of
     ``_row_products`` with ``per_segment`` steps each, and the snapshots their
     prefix products."""
     times = np.linspace(0.0, duration, samples)
     dt = duration / (samples - 1) / per_segment
-    return evolution._prefix_products(*evolution._row_products(p, dt, [(times[:-1], per_segment)]))
+    return evolution._prefix_products(*evolution._row_products(p, dt, times[:-1], per_segment))
 
 
 @given(p=drives, steps=st.integers(1, 3000), frac=st.floats(0.01, 1.0))
@@ -400,21 +399,24 @@ ONE_PASS = evolution._FINISH_STEPS
 @example(p=UNIT, blocks_steps=(64, 40), group_steps=2, finish_steps=ONE_PASS)  # rows of one step
 @example(p=UNIT, blocks_steps=(64, 700), group_steps=16, finish_steps=ONE_PASS)  # groups stopped before a level
 @example(p=UNIT, blocks_steps=(1, 63), group_steps=7, finish_steps=ONE_PASS)  # no full block
+@example(p=UNIT, blocks_steps=(64, 129), group_steps=16, finish_steps=ONE_PASS)  # 32 blocks of 4 steps, 1-step last block
+@example(p=CORNER, blocks_steps=(64, 129), group_steps=16, finish_steps=ONE_PASS)
 @example(p=CORNER, blocks_steps=(64, 1236), group_steps=256, finish_steps=ONE_PASS)  # 4.72e-15 from the one-shot product
 def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, blocks_steps, group_steps, finish_steps):
     # Groups of 1-256 steps reach every path of the streamed product at a few
     # thousand steps: many groups and a short last one, rows stopped at 16
     # pairs and finished together, in one pass or in passes of whole groups
     # over 1-4,096 steps, odd widths on every level (33 and 17 are 2^k + 1),
-    # rows of one step, and an empty first set when one block holds all the
-    # steps. With the default blocks (at most 4 steps here) the product and
-    # its level meet the one-shot bound of the test above. Longer blocks
-    # take the rows through the stopped groups and the finishing passes, but
-    # there the one-shot tree, which divides every level, parts from the
-    # streamed one by more than that bound (4.8e-15 at 64-step blocks on the
-    # corner drive, as with the product that allocated every group's levels),
-    # so one group per set is the reference: the grouping must not move the
-    # product (measured bit-identical over 3,000 random draws).
+    # rows of one step, a short last block of one step, and no full block
+    # when one block holds all the steps. With the default blocks (at most 4
+    # steps here) the product and its level meet the one-shot bound of the
+    # test above. Longer blocks take the rows through the stopped groups and
+    # the finishing passes, but there the one-shot tree, which divides every
+    # level, parts from the streamed one by more than that bound (4.8e-15 at
+    # 64-step blocks on the corner drive, as with the product that allocated
+    # every group's levels), so one group per row set is the reference: the
+    # grouping must not move the product (measured bit-identical over 3,000
+    # random draws).
     assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
     max_blocks, steps = blocks_steps
     bound = rounding_bound(p, p.period)
