@@ -116,14 +116,6 @@ class InvariantEigensystem:
     eigvec_plus: np.ndarray
     eigvec_minus: np.ndarray
 
-    @property
-    def theta_plus(self) -> float:
-        return math.atan2(self.sin_theta_plus, self.cos_theta_plus)
-
-    @property
-    def theta_minus(self) -> float:
-        return math.atan2(self.sin_theta_minus, self.cos_theta_minus)
-
 
 def hamiltonian(p: DriveParams, t: float) -> np.ndarray:
     """Drive Hamiltonian at time t; Hermitian and traceless."""

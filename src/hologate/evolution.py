@@ -152,29 +152,30 @@ class EvolutionReport:
 
 def _step_factors(
     p: DriveParams, t_rows: np.ndarray, dt: float, steps: int
-) -> tuple[complex, np.ndarray, np.ndarray] | None:
+) -> tuple[complex, np.ndarray, np.ndarray]:
     """Exact SU(2) factors exp(-i H(t_mid) dt) for rows of ``steps`` uniform
     midpoint steps, row i starting at ``t_rows[i]``, as (a, rows, columns):
     factor (i, m) is the Cayley-Klein pair (a, rows[i] columns[m]), that is
     [[a, b], [-conj(b), conj(a)]] with b = rows[i] columns[m], at
     t_mid = t_rows[i] + (m + 1/2) dt.
 
-    Returns None when H vanishes identically (zero Rabi and detuning).
     The field magnitude |(Omega cos, Omega sin, Delta)| is time independent,
     so the per-step rotation angle is one scalar and ``a`` is one complex
     number for every step. Only ``b`` follows the rotating transverse field,
     and its drive phase factors exactly:
     b = i (sa Omega / field) exp(-i w t_rows[i]) exp(-i w (m + 1/2) dt), one
-    small ``exp`` per row and per column and one multiply per factor.
+    small ``exp`` per row and per column and one multiply per factor. A
+    vanished field, or dt = 0, turns no angle: sa = sin(-0.0) = -0.0, so the
+    divisor 1 in place of a zero field leaves every factor exactly (1, +-0),
+    the identity, and the product runs as for any other drive.
     """
     field = math.hypot(p.omega_rabi, p.detuning)
-    if field == 0.0:
-        return None
+    scale = field or 1.0
     half = -0.5 * field * dt
     ca, sa = math.cos(half), math.sin(half)
-    rows = (1j * sa * p.omega_rabi / field) * np.exp(-1j * p.omega_drive * t_rows)
+    rows = (1j * sa * p.omega_rabi / scale) * np.exp(-1j * p.omega_drive * t_rows)
     columns = np.exp(-1j * p.omega_drive * (np.arange(0.5, steps) * dt))
-    return complex(ca, sa * p.detuning / field), rows, columns
+    return complex(ca, sa * p.detuning / scale), rows, columns
 
 
 def _level_sizes(rows: int, width: int, scalar_a: bool) -> tuple[int, int]:
@@ -341,9 +342,10 @@ def _joined(parts) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_products(
     p: DriveParams, dt: float, t_rows: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pair product of every row of ``_step_factors`` with ``steps`` steps
-    from the times ``t_rows``, or None when H vanishes.
+    from the times ``t_rows``; rows of identity factors (no field, or
+    dt = 0) give the exact identity pair (1, 0).
 
     The rows are built and reduced ``_GROUP_STEPS // steps`` at a time (at
     least one), so only one cache-sized group of factors is ever held. A
@@ -357,11 +359,7 @@ def _row_products(
     full one and the last group's: the tree of each count is planned once,
     on views of one workspace, and run for every group of that count.
     """
-    factors = _step_factors(p, t_rows, dt, steps)
-    if factors is None:
-        return None
-    a, rows, columns = factors
-    del factors
+    a, rows, columns = _step_factors(p, t_rows, dt, steps)
     n_rows, per_group = len(t_rows), max(1, _GROUP_STEPS // steps)
     if steps == 1:
         # one exact factor per row: no tree runs, so there is no norm to divide
@@ -418,13 +416,14 @@ def _row_products(
 def _scan_level(p: DriveParams, duration: float, steps: int):
     """(size, a, b): the products over consecutive blocks of size = 2^k steps
     from t = 0, the smallest k with at most ``_SCAN_BLOCKS`` blocks; only the
-    last block can be shorter. None when H vanishes.
+    last block can be shorter.
 
     The full blocks are the rows of one call of ``_row_products`` and a short
     last block the one row of another, so the block pairs are the tree level
     that one tree over all the steps would pass through, up to their norms:
     each is divided by its norm as the root of its row's tree, except a
-    block of one step, which is one exact factor.
+    block of one step, which is one exact factor. Without a field, or over
+    a zero duration, every block pair is exactly (1, 0).
     """
     size = 1
     while -(-steps // size) > _SCAN_BLOCKS:
@@ -436,8 +435,6 @@ def _scan_level(p: DriveParams, duration: float, steps: int):
         blocks.append(_row_products(p, dt, np.arange(full) * (size * dt), size))
     if rest:
         blocks.append(_row_products(p, dt, np.array([full * size * dt]), rest))
-    if blocks[0] is None:
-        return None
     return size, *_joined(blocks)
 
 
@@ -467,17 +464,14 @@ def propagate(p: DriveParams, duration: float, steps: int) -> np.ndarray:
 
     The steps are reduced block by block (``_scan_level``), streamed a group
     of blocks at a time, and the same tree finishes the product over the
-    block pairs.
+    block pairs. A zero duration and a drive without a field take the same
+    path: every factor is then the identity, so the product is exactly I.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not math.isfinite(duration) or duration < 0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    if duration == 0.0:
-        return _I2.copy()
     level = _scan_level(p, duration, steps)
-    if level is None:
-        return _I2.copy()
     sink = _level_sink.get()
     if sink is not None:
         sink.append(level)
@@ -612,10 +606,8 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
     if defect > UNITARITY_ABORT:
         raise ConsistencyError(f"propagator unitarity defect {defect:.3e} > {UNITARITY_ABORT:.0e}")
     es0 = eigensystem(p, 0.0)
-    # No level when H vanishes identically: the states then stay put.
-    level = levels[0] if levels else (steps, np.ones(1, dtype=complex), np.zeros(1, dtype=complex))
     gamma_traj, max_integrand_traj = _trajectory_phases(
-        p, steps, level, (es0.eigvec_plus, es0.eigvec_minus)
+        p, steps, levels[0], (es0.eigvec_plus, es0.eigvec_minus)
     )
 
     gamma_g, gamma_d, max_integrand = _phase_quadrature(p)

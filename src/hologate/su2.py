@@ -89,7 +89,8 @@ def bloch_vectors(states) -> np.ndarray:
     if not np.all(norm_error <= 1e-10):
         raise ValueError(f"state must be normalized, |norm - 1| = {np.max(norm_error):.3e}")
     cross = up.conj() * down
-    return np.stack([2.0 * cross.real, 2.0 * cross.imag, p_up - p_down], axis=-1)
+    # + 0.0 turns the negative zeros of exact states into 0, so none prints -0
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, p_up - p_down], axis=-1) + 0.0
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:

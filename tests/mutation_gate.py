@@ -235,6 +235,12 @@ MUTATIONS = [
         "columns = np.exp(1j * p.omega_drive",
     ),
     (
+        "factors: the vanished field divides by zero",
+        "evolution.py",
+        "scale = field or 1.0",
+        "scale = field",
+    ),
+    (
         "quadrature: conj(psi0) dropped from the energy",
         "evolution.py",
         "2.0 * (psi0.conj() * h01 * psi1).real",
@@ -293,6 +299,18 @@ MUTATIONS = [
         "drive.py",
         "lam = math.hypot(p.omega_rabi, p.offset)",
         "lam = math.hypot(p.omega_rabi, p.detuning - p.omega_drive)",
+    ),
+    (
+        "theta: xi_+ as the plain quotient",
+        "drive.py",
+        "xi_p = (dz + lam) / om if dz >= 0 else om / (lam - dz)",
+        "xi_p = (dz + lam) / om",
+    ),
+    (
+        "theta: xi_- as the plain quotient",
+        "drive.py",
+        "xi_m = (dz - lam) / om if dz <= 0 else -om / (lam + dz)",
+        "xi_m = (dz - lam) / om",
     ),
     (
         "exact: the sign of the axis component nz flipped",

@@ -18,16 +18,16 @@ from hologate.su2 import pair_mul, pair_unit
 def step_factors(p, t0, duration, steps):
     """Midpoint factors over ``steps`` steps of ``duration / steps`` from the
     start times ``t0`` (a scalar, or shape (S, 1) for S rows), as pairs (a, b)
-    with b = sa (sin(phase) + i cos(phase)). None when H vanishes."""
+    with b = sa (sin(phase) + i cos(phase)); without a field every factor is
+    exactly the identity, as in ``evolution._step_factors``."""
     field = math.hypot(p.omega_rabi, p.detuning)
-    if field == 0.0:
-        return None
+    scale = field or 1.0
     dt = duration / steps
     half = -0.5 * field * dt
     ca, sa = math.cos(half), math.sin(half)
     phase = p.omega_drive * (t0 + (np.arange(steps) + 0.5) * dt)
-    transverse = sa * p.omega_rabi / field
-    a = np.full(phase.shape, complex(ca, sa * p.detuning / field))
+    transverse = sa * p.omega_rabi / scale
+    a = np.full(phase.shape, complex(ca, sa * p.detuning / scale))
     b = np.empty(phase.shape, dtype=complex)
     b.real = transverse * np.sin(phase)
     b.imag = transverse * np.cos(phase)

@@ -93,8 +93,6 @@ def main(draws: int) -> int:
     for _ in range(draws):
         case = draw(rng)
         p, frac = case[0], case[2]
-        if p.omega_rabi == 0.0 and p.detuning == 0.0:
-            continue  # H vanishes: every product is the identity
         rows.append((rotation_angle(p, frac * p.period), case, gaps(*case)))
     names = list(rows[0][2])
     print(f"{len(rows)} draws, seed {SEED}; largest gap / eps per band of phi (rad)")

@@ -518,6 +518,8 @@ def test_trajectory_sweep_endpoints_fix_poles(tmp_path, capsys):
         "--samples", "20", "--out", str(out_file),
     )
     assert code == 0
+    # the exact zeros of t = 0 and beta = 0 print as 0, never as -0
+    assert "-0" not in {field for line in out_file.read_text().splitlines() for field in line.split(",")}
     rows = read_rows(out_file)
     for beta, _, branch, x, y, z in rows:
         assert abs(x * x + y * y + z * z - 1.0) <= 1e-10

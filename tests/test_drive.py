@@ -121,8 +121,10 @@ def test_eigensystem_symmetric_point():
     assert es.lam == pytest.approx(1.0, abs=1e-15)
     assert max_abs(es.eigvec_plus - np.array([1, 1]) / np.sqrt(2)) < 1e-15
     assert max_abs(invariant(p, 0.0) @ es.eigvec_plus - es.lam * es.eigvec_plus) < 1e-12
-    assert es.theta_plus == pytest.approx(math.pi / 4)
-    assert es.theta_minus == pytest.approx(3 * math.pi / 4)
+    # theta_+ = pi/4 and theta_- = 3 pi/4, as (cos, sin) pairs
+    r = math.sqrt(0.5)
+    assert (es.cos_theta_plus, es.sin_theta_plus) == pytest.approx((r, r), abs=1e-15)
+    assert (es.cos_theta_minus, es.sin_theta_minus) == pytest.approx((-r, r), abs=1e-15)
 
 
 def test_eigensystem_rabi_free_is_axis_basis():
@@ -144,12 +146,23 @@ def test_eigensystem_satisfies_eigen_equation():
     rng = np.random.default_rng(1)
     drives = [random_drive(rng) for _ in range(30)]
     drives += [DriveParams(0.0, 2.0, 1.0), DriveParams(0.0, 0.3, 1.0), DriveParams(0.0, 1.0, 1.0)]
+    # Omega down to 1e-9 on either side of resonance, and the holonomic
+    # family near beta = pi/2: there (Delta - w) +- lam cancels, and only the
+    # cancellation-free quotient of each branch keeps the residual at rounding
+    for _ in range(200):
+        w = float(rng.uniform(0.5, 2.0))
+        side = float(rng.choice((-1.0, 1.0)))
+        omega_rabi = float(10 ** rng.uniform(-9.0, math.log10(2.0)))
+        drives.append(DriveParams(omega_rabi, w + side * float(rng.uniform(0.0, 2.0)), w))
+    drives += [params_from_beta(HolonomicGate(math.pi / 2 - d)) for d in (1e-4, 1e-6, 1e-8)]
     for p in drives:
         t = float(rng.uniform(0, 10))
         es = eigensystem(p, t)
         inv = invariant(p, t)
-        assert max_abs(inv @ es.eigvec_plus - es.lam * es.eigvec_plus) <= 1e-10
-        assert max_abs(inv @ es.eigvec_minus + es.lam * es.eigvec_minus) <= 1e-10
+        # the worst of 20,000 such drives reads 1.8 eps lam
+        bound = 8 * EPS * es.lam
+        assert max_abs(inv @ es.eigvec_plus - es.lam * es.eigvec_plus) <= bound
+        assert max_abs(inv @ es.eigvec_minus + es.lam * es.eigvec_minus) <= bound
         assert abs(np.vdot(es.eigvec_plus, es.eigvec_minus)) < 1e-12
         assert abs(np.linalg.norm(es.eigvec_plus) - 1.0) < 1e-12
         assert abs(np.linalg.norm(es.eigvec_minus) - 1.0) < 1e-12

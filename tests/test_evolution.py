@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hologate.evolution as evolution
@@ -50,8 +50,18 @@ def circular_distance(a, b):
 # --- propagate -----------------------------------------------------------------
 
 
-def test_propagate_zero_duration_is_identity():
-    assert max_abs(propagate(DriveParams(1.0, 0.3, 1.0), 0.0, 50) - I2) == 0.0
+@pytest.mark.parametrize("steps", [1, 16, 1025, 3001, 100_000])
+@pytest.mark.parametrize(
+    "p, duration",
+    [(DriveParams(1.0, 0.3, 1.0), 0.0), (DriveParams(0.0, 0.0, 1.3), 2 * math.pi / 1.3)],
+    ids=["zero_duration", "no_field"],
+)
+def test_propagate_zero_duration_is_identity(p, duration, steps):
+    # no rotation takes the general product: every factor, block pair and
+    # the product itself come out exactly the identity
+    assert max_abs(propagate(p, duration, steps) - I2) == 0.0
+    _, a, b = evolution._scan_level(p, duration, steps)
+    assert np.all(a == 1.0) and np.all(b == 0.0)
 
 
 def test_propagate_constant_hamiltonian_single_step_exact():
@@ -284,9 +294,7 @@ def test_propagate_matches_closed_form_at_a_million_steps(p, steps):
 @example(p=DriveParams(1.0, 1.0, 1.0), steps=3001, max_blocks=1024)  # last block 1 step
 def test_prefix_scan_matches_closed_form_at_every_block_boundary(p, steps, max_blocks):
     with mock.patch.object(evolution, "_SCAN_BLOCKS", max_blocks):
-        level = evolution._scan_level(p, p.period, steps)
-    assume(level is not None)
-    size, a, b = level
+        size, a, b = evolution._scan_level(p, p.period, steps)
     # the first level with at most max_blocks pairs, blocks of size steps from 0
     assert a.shape[0] == -(-steps // size) <= max_blocks
     assert size == 1 or -(-steps // (size // 2)) > max_blocks
@@ -341,8 +349,8 @@ any_drives = drives | st.floats(0.02, 1.55).map(lambda beta: params_from_beta(Ho
 @example(p=DriveParams(1.0, 1.0, 1.0), steps=999_999, frac=1.0)  # 31 groups, short last block
 @example(p=CORNER, steps=1236, frac=1.0)  # 4.72e-15, 21 eps: the worst step count 1-3000
 @example(p=CORNER, steps=2159, frac=1.0)  # 4.33e-15
+@example(p=DriveParams(0.0, 0.0, 1.0), steps=3001, frac=1.0)  # no field: every factor the identity
 def test_streamed_propagate_and_scan_level_match_the_one_shot_product(p, steps, frac):
-    assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
     duration = frac * p.period
     bound = rounding_bound(p, duration)
     factors = step_factors(p, 0.0, duration, steps)
@@ -363,7 +371,6 @@ def test_streamed_propagate_and_scan_level_match_the_one_shot_product(p, steps, 
 @example(p=params_from_beta(HolonomicGate(0.6)), samples=200, per_segment=333, frac=1.0)  # 3 groups of segments
 @example(p=DriveParams(0.0, 2.0, 0.5), samples=37, per_segment=488, frac=1.0)  # 7.74e-15, 35 eps
 def test_streamed_propagate_samples_match_the_one_shot_product(p, samples, per_segment, frac):
-    assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
     duration = frac * p.period
     us = pair_matrix(*segment_snapshots(p, duration, samples, per_segment))
     t0 = np.linspace(0.0, duration, samples)[:-1, None]
@@ -402,6 +409,7 @@ ONE_PASS = evolution._FINISH_STEPS
 @example(p=UNIT, blocks_steps=(64, 129), group_steps=16, finish_steps=ONE_PASS)  # 32 blocks of 4 steps, 1-step last block
 @example(p=CORNER, blocks_steps=(64, 129), group_steps=16, finish_steps=ONE_PASS)
 @example(p=CORNER, blocks_steps=(64, 1236), group_steps=256, finish_steps=ONE_PASS)  # 4.72e-15 from the one-shot product
+@example(p=DriveParams(0.0, 0.0, 1.0), blocks_steps=(64, 3000), group_steps=256, finish_steps=512)  # no field
 def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, blocks_steps, group_steps, finish_steps):
     # Groups of 1-256 steps reach every path of the streamed product at a few
     # thousand steps: many groups and a short last one, rows stopped at 16
@@ -417,7 +425,6 @@ def test_streamed_product_matches_the_one_shot_product_for_any_grouping(p, block
     # every group's levels), so one group per row set is the reference: the
     # grouping must not move the product (measured bit-identical over 3,000
     # random draws).
-    assume(p.omega_rabi != 0.0 or p.detuning != 0.0)
     max_blocks, steps = blocks_steps
     bound = rounding_bound(p, p.period)
     (a, b), (size, la, lb) = tree_product(
