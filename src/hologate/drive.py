@@ -34,10 +34,6 @@ import numpy as np
 
 from .su2 import su2_exp
 
-#: Below this Rabi amplitude (relative to the drive frequency) the closed-form
-#: eigenvector angles degenerate to 0/0 and the limiting basis is used instead.
-OMEGA_RABI_CUTOFF = 1e-12
-
 _HALF_PI = math.pi / 2
 
 
@@ -106,6 +102,8 @@ class InvariantEigensystem:
     The eigenvectors are stored in the fixed gauge
     (exp(-i w t) cos(theta), sin(theta)) with sin(theta) >= 0; the angles are
     kept as (cos, sin) pairs so no inverse-trig branch choice is ever made.
+    At Omega = 0 with Delta < w the -lam eigenvector is (-1, 0): sin(theta) = 0
+    leaves the sign of cos(theta) to the gauge, and no phase or verdict reads it.
     """
 
     lam: float
@@ -136,27 +134,22 @@ def invariant(p: DriveParams, t: float) -> np.ndarray:
 def _theta_pairs(p: DriveParams) -> tuple[float, tuple[float, float], tuple[float, float]]:
     """(lam, (cos, sin) for the +lam branch, (cos, sin) for the -lam branch).
 
-    The angles are time independent. The generic expressions use the
-    cancellation-free form of xi = [(Delta - w) +- lam] / Omega on each branch.
+    The angles are time independent. Every drive takes the one quotient
+    t = Omega / (lam + |Delta - w|), the tangent of half the polar angle
+    between the invariant's axis and the nearer pole. Its denominator is a sum
+    of nonnegative terms no smaller than its numerator, so t lies in [0, 1]:
+    it neither cancels nor overflows, and t = Omega / Omega = 1 exactly when
+    Delta = w, down to subnormal Omega. At lam = 0 every basis is an
+    eigenbasis, and t = 1 picks the limit along the holonomic family.
     """
-    w = p.omega_drive
     dz = p.offset
     om = p.omega_rabi
     lam = math.hypot(om, dz)
-    if om > OMEGA_RABI_CUTOFF * w:
-        xi_p = (dz + lam) / om if dz >= 0 else om / (lam - dz)
-        xi_m = (dz - lam) / om if dz <= 0 else -om / (lam + dz)
-        norm_p = math.sqrt(1.0 + xi_p * xi_p)
-        norm_m = math.sqrt(1.0 + xi_m * xi_m)
-        return lam, (xi_p / norm_p, 1.0 / norm_p), (xi_m / norm_m, 1.0 / norm_m)
-    if lam <= OMEGA_RABI_CUTOFF * w:
-        # Invariant ~ 0: every basis is an eigenbasis. Use the limit along the
-        # holonomic family so dynamical phases stay zero at beta = 0.
-        r = math.sqrt(0.5)
-        return lam, (r, r), (-r, r)
-    if dz > 0:
-        return lam, (1.0, 0.0), (0.0, 1.0)
-    return lam, (0.0, 1.0), (1.0, 0.0)
+    t = om / (lam + abs(dz)) if lam else 1.0
+    n = math.hypot(1.0, t)
+    if dz >= 0:
+        return lam, (1.0 / n, t / n), (-t / n, 1.0 / n)
+    return lam, (t / n, 1.0 / n), (-1.0 / n, t / n)
 
 
 def eigensystem(p: DriveParams, t: float) -> InvariantEigensystem:

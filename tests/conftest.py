@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 import hologate
 
@@ -67,3 +68,42 @@ def random_drive(rng: np.random.Generator):
         detuning=float(rng.uniform(-1.0, 2.0)),
         omega_drive=float(rng.uniform(0.5, 2.0)),
     )
+
+
+#: Largest field magnitude DriveParams accepts: 4 v^2 must stay finite.
+_DRIVE_CAP = math.sqrt(float(np.finfo(float).max) / 4)
+_MAGNITUDES = st.floats(-300.0, math.log10(_DRIVE_CAP)).map(lambda e: 10.0**e)
+_SIGNS = st.sampled_from((-1.0, 1.0))
+#: Exact subnormals, from the smallest one to just below the smallest normal.
+_SUBNORMALS = st.integers(1, 2**52 - 1).map(lambda k: k * 5e-324)
+
+
+@st.composite
+def any_drive(draw):
+    """Any drive triple DriveParams accepts, the ends of its domain included.
+
+    Magnitudes are log-uniform from 1e-300 up to the overflow cap. Omega is
+    also an exact zero or subnormal; Delta is also zero, a magnitude of either
+    sign, or w (1 +- 10^[-16, 0]) near resonance. A fifth of the draws are
+    holonomic gates at either end of the beta family. Triples DriveParams
+    refuses, those whose 4 (Omega^2 + Delta^2 + w^2) overflows, are rejected.
+    """
+    from hologate import DriveParams, HolonomicGate, params_from_beta
+
+    w = draw(_MAGNITUDES)
+    signed = st.tuples(_MAGNITUDES, _SIGNS).map(lambda ms: ms[0] * ms[1])
+    near_resonance = st.tuples(st.floats(-16.0, 0.0), _SIGNS).map(
+        lambda es: w * (1.0 + es[1] * 10.0 ** es[0])
+    )
+    try:
+        if draw(st.integers(0, 4)) == 0:
+            from_end = draw(st.just(0.0) | st.floats(-300.0, -1.0).map(lambda e: 10.0**e))
+            beta = from_end if draw(st.booleans()) else math.pi / 2 - from_end
+            return params_from_beta(HolonomicGate(beta, w))
+        return DriveParams(
+            draw(st.just(0.0) | _SUBNORMALS | _MAGNITUDES),
+            draw(st.just(0.0) | st.just(w) | near_resonance | signed),
+            w,
+        )
+    except ValueError:
+        assume(False)

@@ -286,7 +286,7 @@ MUTATIONS = [
         "drive: _theta_pairs reads Delta - w from Delta again",
         "drive.py",
         "    dz = p.offset\n    om = p.omega_rabi\n",
-        "    dz = p.detuning - w\n    om = p.omega_rabi\n",
+        "    dz = p.detuning - p.omega_drive\n    om = p.omega_rabi\n",
     ),
     (
         "drive: invariant reads Delta - w from Delta again",
@@ -301,16 +301,16 @@ MUTATIONS = [
         "lam = math.hypot(p.omega_rabi, p.detuning - p.omega_drive)",
     ),
     (
-        "theta: xi_+ as the plain quotient",
+        "theta: xi_+ as the plain quotient (lam - |Delta - w|) / Omega, which cancels",
         "drive.py",
-        "xi_p = (dz + lam) / om if dz >= 0 else om / (lam - dz)",
-        "xi_p = (dz + lam) / om",
+        "t = om / (lam + abs(dz)) if lam else 1.0",
+        "t = (lam - abs(dz)) / om if om else 0.0 if lam else 1.0",
     ),
     (
-        "theta: xi_- as the plain quotient",
+        "theta: the bases of Delta >= w and Delta < w swapped",
         "drive.py",
-        "xi_m = (dz - lam) / om if dz <= 0 else -om / (lam + dz)",
-        "xi_m = (dz - lam) / om",
+        "    if dz >= 0:\n",
+        "    if dz < 0:\n",
     ),
     (
         "exact: the sign of the axis component nz flipped",

@@ -174,8 +174,12 @@ def test_verify_coarse_steps_exceed_thresholds(capsys):
     assert values["check_spectral_exact"] == "pass"
 
 
-def test_verify_non_holonomic_drive_fails_by_design(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--drive", "1,1", "--machine")
+# Omega = 1e-13 w and lam = 1e-12 w: an eigenbasis taken from the limit
+# Omega -> 0 or lam -> 0 fails spectral_exact on both, and the second drive,
+# whose eigenbasis is the z axis, then passes as holonomic
+@pytest.mark.parametrize("drive", ["1,1", "1e-13,0.5", "0,0.999999999999"])
+def test_verify_non_holonomic_drive_fails_by_design(capsys, drive):
+    code, out, _ = run_cli(capsys, "verify", "--drive", drive, "--machine")
     assert code == 1
     values = parse_machine(out)
     assert values["check_holonomy_integrand"] == "fail"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hologate import (
     DriveParams,
@@ -20,9 +22,10 @@ from hologate import (
     propagate,
 )
 
-from conftest import EPS, random_drive
+from conftest import EPS, any_drive, random_drive
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
+SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 # --- parameter types ---------------------------------------------------------
@@ -132,6 +135,12 @@ def test_eigensystem_rabi_free_is_axis_basis():
     es = eigensystem(p, 0.0)
     assert es.lam == pytest.approx(1.0)
     assert max_abs(es.eigvec_plus - np.array([1.0, 0.0])) == 0.0
+    assert max_abs(es.eigvec_minus - np.array([0.0, 1.0])) == 0.0
+    # below resonance the axis flips; cos(theta_-) = -1 is the gauge's sign
+    below = eigensystem(DriveParams(0.0, 0.3, 1.0), 0.0)
+    assert below.lam == pytest.approx(0.7)
+    assert max_abs(below.eigvec_plus - np.array([0.0, 1.0])) == 0.0
+    assert max_abs(below.eigvec_minus - np.array([-1.0, 0.0])) == 0.0
     # away from t = 0 the upper component carries the gauge phase
     es_t = eigensystem(p, 0.7)
     assert max_abs(es_t.eigvec_plus - np.array([np.exp(-0.7j), 0.0])) < 1e-15
@@ -167,6 +176,25 @@ def test_eigensystem_satisfies_eigen_equation():
         assert abs(np.linalg.norm(es.eigvec_plus) - 1.0) < 1e-12
         assert abs(np.linalg.norm(es.eigvec_minus) - 1.0) < 1e-12
         assert es.sin_theta_plus >= 0.0 and es.sin_theta_minus >= 0.0
+
+
+@given(p=any_drive(), t=st.floats(0.0, 10.0))
+@example(p=DriveParams(1.17e-182, -3.55e145, 1.08e-203), t=0.0)  # (Delta - w - lam) / Omega overflows
+@example(p=DriveParams(1e-13, 0.5, 1.0), t=0.0)  # the Omega -> 0 limit is off by ~Omega / lam
+@example(p=DriveParams(5e-324, 1.0, 1.0), t=0.0)  # lam subnormal: t = Omega / Omega = 1
+def test_eigensystem_is_an_orthonormal_eigenbasis_over_the_whole_domain(p, t):
+    es = eigensystem(p, t)
+    inv = invariant(p, t)
+    assert np.all(np.isfinite(es.eigvec_plus)) and np.all(np.isfinite(es.eigvec_minus))
+    assert es.sin_theta_plus >= 0.0 and es.sin_theta_minus >= 0.0
+    assert abs(np.linalg.norm(es.eigvec_plus) - 1.0) <= 4 * EPS
+    assert abs(np.linalg.norm(es.eigvec_minus) - 1.0) <= 4 * EPS
+    assert abs(np.vdot(es.eigvec_plus, es.eigvec_minus)) <= 4 * EPS
+    # the worst of 40,000 draws exceeds 8 eps lam by one subnormal, where
+    # lam itself is subnormal and the products round on the subnormal grid
+    bound = 8 * EPS * es.lam + 4 * SUBNORMAL
+    assert max_abs(inv @ es.eigvec_plus - es.lam * es.eigvec_plus) <= bound
+    assert max_abs(inv @ es.eigvec_minus + es.lam * es.eigvec_minus) <= bound
 
 
 def test_eigensystem_periodicity():
