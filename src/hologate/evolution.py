@@ -488,20 +488,40 @@ def exact_propagator(p: DriveParams, t) -> np.ndarray:
     in the frame co-rotating with the drive, exact up to rounding for any
     drive, holonomic or not. Raises ValueError if any time is NaN or infinite.
     """
+    return _closed_forms([p], t)[0]
+
+
+def _closed_forms(drives, t) -> np.ndarray:
+    """The closed form of ``exact_propagator`` for each drive in ``drives``
+    at the same times ``t``: shape ``(len(drives),) + t.shape + (2, 2)``,
+    row k that of ``drives[k]``.
+
+    lam, nx and nz are computed per drive with ``math.hypot`` and float
+    division, then broadcast over the times. Every operation after that is
+    elementwise with a fixed operand order, so a row has the same bits
+    whatever other drives and times share the call.
+    """
     t = np.asarray(t, dtype=float)
     finite = np.isfinite(t)
     if not finite.all():
         raise ValueError(f"t must be finite, got {t[~finite][0]}")
-    w = p.omega_drive
-    dz = p.offset
-    lam = math.hypot(p.omega_rabi, dz)
-    # lam = 0 leaves only the frame rotation: sin(lam t / 2) = 0 kills the
-    # axis terms, so any finite axis components will do there.
-    nx, nz = (p.omega_rabi / lam, dz / lam) if lam > 0.0 else (0.0, 0.0)
+    columns = []
+    for p in drives:
+        dz = p.offset
+        lam = math.hypot(p.omega_rabi, dz)
+        # lam = 0 leaves only the frame rotation: sin(lam t / 2) = 0 kills the
+        # axis terms, so any finite axis components will do there.
+        nx, nz = (p.omega_rabi / lam, dz / lam) if lam > 0.0 else (0.0, 0.0)
+        columns.append((p.omega_drive, lam, nx, nz))
+    # one column per drive, with an axis of length 1 for each axis of t
+    w, lam, nx, nz = np.array(columns).T.reshape((4, len(columns)) + (1,) * t.ndim)
     c = np.cos(0.5 * lam * t)
     s = np.sin(0.5 * lam * t)
     frame = np.exp(-0.5j * w * t)
-    return pair_matrix(frame * (c - 1j * s * nz), frame * (-1j * s * nx))
+    # np.multiply keeps frame the left operand at every size: on a temporary
+    # of over 256 KiB, numpy runs ``*`` in place with the operands swapped, and
+    # the fused imaginary part of the complex product is not commutative
+    return pair_matrix(np.multiply(frame, c - 1j * s * nz), np.multiply(frame, -1j * s * nx))
 
 
 def _energy(p: DriveParams, ts: np.ndarray, psi0, psi1) -> np.ndarray:

@@ -333,8 +333,38 @@ MUTATIONS = [
     (
         "exact: reads Delta - w from Delta again",
         "evolution.py",
-        "    dz = p.offset\n",
-        "    dz = p.detuning - w\n",
+        "        dz = p.offset\n",
+        "        dz = p.detuning - p.omega_drive\n",
+    ),
+    (
+        "exact: lam from np.hypot, which rounds otherwise than math.hypot",
+        "evolution.py",
+        "lam = math.hypot(p.omega_rabi, dz)",
+        "lam = float(np.hypot(p.omega_rabi, dz))",
+    ),
+    (
+        "exact: the frame multiplied from the right",
+        "evolution.py",
+        "np.multiply(frame, c - 1j * s * nz)",
+        "np.multiply(c - 1j * s * nz, frame)",
+    ),
+    (
+        "exact: the frame multiplied by the * operator, which numpy may swap in place",
+        "evolution.py",
+        "np.multiply(frame, c - 1j * s * nz)",
+        "frame * (c - 1j * s * nz)",
+    ),
+    (
+        "trajectory: every chunk labelled with the first chunk's betas",
+        "cli.py",
+        "zip(betas[chunk], fields)",
+        "zip(betas[: len(fields)], fields)",
+    ),
+    (
+        "trajectory: every write formats the first rows' fields",
+        "cli.py",
+        "values[3 * start : 3 * (start + len(block))]",
+        "values[: 3 * len(block)]",
     ),
 ]
 

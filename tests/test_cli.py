@@ -569,7 +569,7 @@ def test_trajectory_rejects_single_sample(tmp_path, capsys):
 
 
 def test_trajectory_rejects_samples_above_the_cap(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("hologate.cli.exact_propagator", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr("hologate.cli._closed_forms", lambda *a: pytest.fail("sampled"))
     samples = MAX_TRAJECTORY_SAMPLES + 1
     code, out, err = run_cli(
         capsys, "trajectory", "--beta", "0.3", "--samples", str(samples),
@@ -708,6 +708,31 @@ def test_trajectory_csv_matches_an_independent_row_formatter(tmp_path, capsys, s
     )
     assert code == 0
     assert out_file.read_bytes() == expected_trajectory_csv(betas, samples).encode()
+
+
+@pytest.mark.parametrize(
+    "chunk_samples",
+    [1, 9, 18, 10**6],
+    # at 9 samples: 2 rows a write; 1 beta a chunk; 2, 2, 1 betas; 1 chunk
+    ids=["two_rows_a_write", "one_beta_a_chunk", "uneven_chunks", "one_chunk"],
+)
+def test_trajectory_chunks_do_not_move_a_byte(tmp_path, capsys, monkeypatch, chunk_samples):
+    monkeypatch.setattr(cli, "TRAJECTORY_CHUNK_SAMPLES", chunk_samples)
+    out_file = tmp_path / "t.csv"
+    # beta = 0 (lam = 0) and pi/2 at the ends
+    betas = np.linspace(0.0, math.pi / 2, 5).tolist()
+    code, out, _ = run_cli(
+        capsys, "trajectory", "--beta", f"0:{math.pi / 2!r}:5", "--samples", "9",
+        "--out", str(out_file), "--machine",
+    )
+    assert code == 0
+    assert out_file.read_bytes() == expected_trajectory_csv(betas, 9).encode()
+    sphere = 0.0
+    for beta in betas:
+        p = params_from_beta(HolonomicGate(beta))
+        points = bloch_vectors(np.swapaxes(exact_propagator(p, np.linspace(0.0, p.period, 9)), -1, -2))
+        sphere = max(sphere, float(np.max(np.abs(np.sum(points**2, axis=-1) - 1.0))))
+    assert float(parse_machine(out)["max_sphere_deviation"]) == sphere
 
 
 def test_trajectory_unwritable_path_is_io_error(tmp_path, capsys):

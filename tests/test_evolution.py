@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hologate.evolution as evolution
 from hologate import (
@@ -28,7 +29,7 @@ from hologate import (
 from hologate.cli import main, verify_checks
 from hologate.su2 import pair_matrix
 
-from conftest import random_drive, rounding_bound
+from conftest import any_drive, random_drive, rounding_bound
 from midpoint_oracle import midpoint_product
 from one_shot_product import step_factors, tree_product
 
@@ -602,6 +603,57 @@ def test_exact_propagator_is_su2_and_starts_at_identity(omega_rabi, detuning, om
     u = exact_propagator(p, t)
     assert max_abs(u.conj().T @ u - I2) <= 2e-15
     assert abs(np.linalg.det(u) - 1.0) <= 2e-15
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, so that -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def closed_form_reference(p: DriveParams, t) -> np.ndarray:
+    """One drive's closed form written out on its own: lam from
+    ``math.hypot``, nx and nz by float division, and every product in the
+    library's operand order, on array operands as for many drives. These are
+    the bits that the trajectory CSV prints."""
+    t = np.asarray(t, dtype=float)[None]
+    lam = math.hypot(p.omega_rabi, p.offset)
+    nx, nz = (p.omega_rabi / lam, p.offset / lam) if lam > 0.0 else (0.0, 0.0)
+    c, s = np.cos(0.5 * lam * t), np.sin(0.5 * lam * t)
+    frame = np.exp(-0.5j * p.omega_drive * t)
+    return pair_matrix(np.multiply(frame, c - 1j * s * nz), np.multiply(frame, -1j * s * nx))[0]
+
+
+#: lam = 0: no Rabi field and the detuning on resonance, at any drive frequency.
+lam_zero_drives = st.floats(1e-300, 1e150).map(lambda w: DriveParams(0.0, w, w))
+times = st.floats(-100.0, 100.0) | hnp.arrays(
+    float, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6), elements=st.floats(-100.0, 100.0)
+)
+
+
+@given(drives=st.lists(any_drive() | lam_zero_drives, min_size=1, max_size=5), t=times)
+# math.hypot and np.hypot round this lam differently
+@example(drives=[DriveParams(0.4896632363749396, -0.3140467952181687, 1.0)], t=1.0)
+@example(drives=[params_from_beta(HolonomicGate(b)) for b in (0.0, 0.3, math.pi / 2)], t=np.ones(9))
+def test_closed_form_rows_equal_each_drive_s_exact_propagator_bit_for_bit(drives, t):
+    rows = evolution._closed_forms(drives, t)
+    assert rows.shape == (len(drives),) + np.shape(t) + (2, 2)
+    for p, row in zip(drives, rows):
+        assert same_bits(row, exact_propagator(p, t))
+        assert same_bits(row, closed_form_reference(p, t))
+
+
+def test_closed_form_bits_do_not_depend_on_how_many_times_are_asked_for():
+    # numpy may run ``x * y`` on a temporary y of over 256 KiB (16,384 complex
+    # numbers) in place as y * x, and the fused imaginary part of the complex
+    # product is not commutative bit for bit; so 20,000 times and the same
+    # times 100 at a time must give the same bits, alone and beside other drives
+    gates = [params_from_beta(HolonomicGate(b)) for b in (0.3, 0.9, 1.4)]
+    t = np.linspace(0.0, 2 * math.pi, 20_000)
+    for p in gates:
+        whole = exact_propagator(p, t)
+        assert same_bits(whole, np.concatenate([exact_propagator(p, part) for part in np.split(t, 200)]))
+    assert same_bits(evolution._closed_forms(gates, t)[0], exact_propagator(gates[0], t))
 
 
 # --- full_report -----------------------------------------------------------------
