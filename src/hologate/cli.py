@@ -58,15 +58,17 @@ EXIT_INTERNAL = 4
 #: stopped rows held beside it. The cap bounds its time, 0.09-0.11 s at 10^7
 #: steps (in process, medians on a 2-core Xeon), not its memory.
 MAX_VERIFY_STEPS = 10_000_000
-#: Largest ``trajectory --samples``. One beta peaks at ~460 B per sample
-#: (tracemalloc, 10^5 and 3 x 10^5 samples), most of it the bytes of its rows
-#: without x, y, z and the Python floats of its fields, so the cap bounds it at
-#: ~0.5 GB; further betas add nothing to the peak.
+#: Largest ``trajectory --samples``. One beta peaks at ~265 B per sample
+#: (tracemalloc, 10^5 and 3 x 10^5 samples), while its closed form and Bloch
+#: vectors are evaluated at every time at once, beside the 24 B per sample of
+#: the t column's text grid, so the cap bounds it at ~0.27 GB; further betas
+#: add nothing to the peak.
 MAX_TRAJECTORY_SAMPLES = 1_000_000
 #: Most time samples, summed over its betas, that ``trajectory`` evaluates at
 #: once (a chunk holds at least one beta), and half the rows it formats at
-#: once. A chunk's arrays are freed before its text is built; the 50 x 200
-#: sweep, 10 betas a chunk, peaks at ~0.9 MB (tracemalloc).
+#: once. A chunk's closed forms and Bloch vectors are freed before its text
+#: is built; the 50 x 200 sweep, 10 betas a chunk, peaks at ~2.4 MB
+#: (tracemalloc), at the text grid of a chunk's 4,020 rows.
 TRAJECTORY_CHUNK_SAMPLES = 2**11
 #: Largest count in ``trajectory --beta start:stop:count``. Every beta's drive
 #: is built before the file is opened, ~220 B per beta with its float
@@ -415,23 +417,143 @@ def _parse_beta_spec(text: str) -> list[float]:
     return [_number(tok, "--beta entry") for tok in text.split(",") if tok.strip()]
 
 
-def _trajectory_rows(times: np.ndarray) -> list[bytes]:
-    """The CSV rows of one beta without their leading beta field, with t and
-    branch written in and x, y, z as ``%.17g`` fields: branches "0" and "1"
-    at every time, then the one-period endpoint map as "0_final" and
-    "1_final" at the last time.
+#: Columns of one field in ``_g17``'s grid: the longest ``%.17g`` of a
+#: double, as in "-2.2250738585072014e-308".
+_G17_WIDTH = 24
 
-    Every beta shares the time grid, so this text is formatted once. The
-    fields take, in order, the Bloch vectors of U(t)|0> and U(t)|1> at each
-    time and then again at the last time. The rows are ASCII bytes: bytes
-    ``%`` formats a float as str ``%`` does, ~10% faster, and the file needs
-    no encoding step.
+
+@functools.cache
+def _g17_tables():
+    """The lookup tables of ``_g17``, built with numpy on its first call, so
+    that importing the CLI builds none of them:
+    - ``digits[d]``: the 4 ASCII digits of d < 10^4, as the bytes of a uint32;
+    - ``zeros[d]``: the trailing zeros of those 4 digits (4 for 0000);
+    - ``heads[10 h + lead]``: a field's first 8 bytes, as a uint64: head
+      h = 4 sign + k ("0.", "0.0", ... "-0.000", with k zeros after the
+      point), NUL-padded, then the lead digit;
+    - ``tails[z]``: the mask, as 2 uint64, that clears the last z of the 16
+      digit bytes after the lead;
+    - the scales 10^(16 - E) for the decades E = -4 .. -1 (exact doubles).
     """
-    xyz = "%.17g,%.17g,%.17g\n"
-    stamps = [f",{t:.17g}," for t in times.tolist()]
-    rows = [row for s in stamps for row in (f"{s}0,{xyz}", f"{s}1,{xyz}")]
-    rows += [f"{stamps[-1]}0_final,{xyz}", f"{stamps[-1]}1_final,{xyz}"]
-    return [row.encode("ascii") for row in rows]
+    d = np.arange(10_000)
+    quads = np.stack((d // 1000, d // 100 % 10, d // 10 % 10, d % 10), axis=1) + ord("0")
+    digits = quads.astype(np.uint8).view(np.uint32).ravel()
+    zeros = (d % 10 == 0).astype(np.uint8) + (d % 100 == 0) + (d % 1000 == 0) + (d == 0)
+    heads = np.zeros((8, 10, 8), np.uint8)
+    for h in range(8):
+        head = np.frombuffer(b"-" * (h // 4) + b"0." + b"0" * (h % 4), np.uint8)
+        heads[h, :, : head.size] = head
+    heads[..., 7] = ord("0") + np.arange(10)
+    tails = np.where(np.arange(16) < np.arange(16, -1, -1)[:, None], 0xFF, 0).astype(np.uint8)
+    return (
+        digits,
+        zeros,
+        heads.reshape(80, 8).view(np.uint64).ravel(),
+        tails.view(np.uint64),
+        np.array([1e20, 1e19, 1e18, 1e17]),
+    )
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` of every double v in the 1-D ``values``, as the rows
+    of a NUL-padded (len(values), ``_G17_WIDTH``) uint8 grid: row i without
+    its NUL bytes is the text of ``values[i]``.
+
+    Every v with 1e-4 <= |v| < 1 that passes the guards below is written
+    from integer digits: ``%.17g`` writes it as "0." and its 17 significant
+    digits, correctly rounded, ties to even, with trailing zeros stripped.
+    Every other v (0, |v| >= 1, |v| < 1e-4, non-finite) takes Python's ``%``.
+    Only IEEE multiply, add, subtract, ``rint`` and exact casts reach the
+    digits, so they do not depend on how numpy dispatches its loops; a
+    decade that ``log10`` picks one off only makes a value fall back.
+    """
+    digits, zeros, heads, tails, scales = _g17_tables()
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1.0)  # NaN fails both
+    a = np.where(fast, a, 0.5)
+    # the decade E = floor(log10 a) as E + 4, 0 to 3: a >= 1e-4 puts it at
+    # -4 or above also where log10 rounds it one low, and a < 1 keeps it below 0
+    e = np.maximum(np.floor(np.log10(a)), -4.0).astype(np.intp) + 4
+    # Dekker's TwoProduct without FMA (Numer. Math. 18, 224 (1971)): 2^27 + 1
+    # splits each factor into two 26-bit halves, and a * 10^(16 - E) = p + err
+    b = scales.take(e)
+    c = 134217729.0 * a
+    a_high = c - (c - a)
+    a_low = a - a_high
+    c = 134217729.0 * b
+    b_high = c - (c - b)
+    b_low = b - b_high
+    p = a * b
+    err = ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+    # E is the decade of a exactly when 1e16 <= p + err < 1e17; p rounds that
+    # sum, so p = 1e16 with err < 0 lies below it
+    ok = fast & (p >= 1e16) & (p < 1e17) & ((p > 1e16) | (err >= 0.0))
+    # p >= 2^53 is an even integer and |err| <= 8, so n is p + err rounded
+    # to an integer, ties to even: the 17 digits, below 1e17 as p <= 1e17 - 16.
+    # The rows that fail the guards are written again below; 1e16 keeps
+    # their digits in the tables' range.
+    n = np.where(ok, p, 1e16).astype(np.int64) + np.rint(err).astype(np.int64)
+    high, low = np.divmod(n, 10**8)
+    high, low = high.astype(np.uint32), low.astype(np.uint32)
+    lead, g1, g2 = high // 10**8, high // 10**4 % 10**4, high % 10**4
+    g3, g4 = low // 10**4, low % 10**4
+    # trailing zeros of the 16 digits after the lead, a group of 4 at a time
+    z = zeros.take(g4) + (g4 == 0) * (
+        zeros.take(g3) + (g3 == 0) * (zeros.take(g2) + (g2 == 0) * zeros.take(g1))
+    )
+    text = np.empty((values.size, _G17_WIDTH), np.uint8)
+    words = text.view(np.uint64)
+    # the sign, then -1 - E zeros after "0.", then the lead digit
+    words[:, 0] = heads.take(40 * (values < 0) + 10 * (3 - e) + lead)
+    groups = text.view(np.uint32)  # bytes 8 to 23: the groups g1 .. g4
+    groups[:, 2], groups[:, 3] = digits.take(g1), digits.take(g2)
+    groups[:, 4], groups[:, 5] = digits.take(g3), digits.take(g4)
+    words[:, 1:] &= tails.take(z, axis=0)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text[slow] = _text_grid([b"%.17g" % v for v in values[slow].tolist()], _G17_WIDTH)
+    return text
+
+
+def _text_grid(texts: list[bytes] | tuple[bytes, ...], width: int | None = None) -> np.ndarray:
+    """``texts`` in the rows of a NUL-padded uint8 grid of ``width`` columns
+    (the longest text's by default)."""
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    keep = np.arange(lengths.max() if width is None else width) < lengths[:, None]
+    grid = np.zeros(keep.shape, np.uint8)
+    grid[keep] = np.frombuffer(b"".join(texts), np.uint8)
+    return grid
+
+
+#: The branch field of a beta's rows with its separator: "0" and "1" at every
+#: time, then the one-period endpoint map at the last time.
+_BRANCHES = (b"0,", b"1,", b"0_final,", b"1_final,")
+
+
+def _trajectory_text(rows, samples, labels, stamps, fields) -> bytes:
+    """The CSV lines ``rows`` (indices into a chunk's rows, ``2 samples + 2``
+    a beta) with their x, y, z ``fields``, shape (len(rows), 3). ``labels``
+    holds the text grid (``_text_grid``) of the chunk's beta fields,
+    ``stamps`` that of ",t," at every time.
+
+    Each part of a line is a column block of one NUL-padded uint8 grid, a
+    line a row, so the grid's bytes other than NUL are the lines in order.
+    """
+    beta, row = np.divmod(rows, 2 * samples + 2)
+    time = np.minimum(row // 2, samples - 1)
+    branch = row % 2 + 2 * (row >= 2 * samples)
+    x, y, z = np.moveaxis(_g17(fields.ravel()).reshape(len(rows), 3, _G17_WIDTH), 1, 0)
+    comma, newline = (np.full((len(rows), 1), ord(sep), np.uint8) for sep in ",\n")
+    grid = np.concatenate(
+        (
+            labels.take(beta, axis=0),
+            stamps.take(time, axis=0),
+            _text_grid(_BRANCHES).take(branch, axis=0),
+            x, comma, y, comma, z, newline,
+        ),
+        axis=1,
+    )
+    return grid[grid != 0].tobytes()
 
 
 def _cmd_trajectory(args) -> RunReport:
@@ -447,7 +569,7 @@ def _cmd_trajectory(args) -> RunReport:
     drives = [params_from_beta(HolonomicGate(beta)) for beta in betas]
     # HolonomicGate drives at frequency 1 whatever beta, so one period serves all
     times = np.linspace(0.0, drives[0].period, args.samples)
-    rows = _trajectory_rows(times)
+    stamps = _text_grid([b",%.17g," % t for t in times.tolist()])
     per_chunk = max(1, TRAJECTORY_CHUNK_SAMPLES // args.samples)
     per_write = 2 * TRAJECTORY_CHUNK_SAMPLES  # rows formatted at a time
     worst_sphere = 0.0
@@ -459,18 +581,14 @@ def _cmd_trajectory(args) -> RunReport:
             points = bloch_vectors(np.swapaxes(_closed_forms(drives[chunk], times), -1, -2))
             sphere = float(np.max(np.abs(np.sum(points**2, axis=-1) - 1.0)))
             worst_sphere = max(worst_sphere, sphere)
-            # per beta, its points at every time and then again at the last
-            fields = np.concatenate((points, points[:, -1:]), axis=1).reshape(len(points), -1)
+            # per beta, its points at every time and then again at the last:
+            # the x, y, z of the chunk's rows in file order
+            fields = np.concatenate((points, points[:, -1:]), axis=1).reshape(-1, 3)
             del points
-            fields = [tuple(values) for values in fields.tolist()]  # frees the arrays
-            for beta, values in zip(betas[chunk], fields):
-                # every row starts with the beta field, which the rows lack:
-                # write the beta, then the rows joined by it, 3 fields a row
-                stamp = f"{beta:.17g}".encode("ascii")
-                for start in range(0, len(rows), per_write):
-                    block = rows[start : start + per_write]
-                    fh.write(stamp)
-                    fh.write(stamp.join(block) % values[3 * start : 3 * (start + len(block))])
+            labels = _text_grid([b"%.17g" % beta for beta in betas[chunk]])
+            for start in range(0, len(fields), per_write):
+                rows = np.arange(start, min(start + per_write, len(fields)))
+                fh.write(_trajectory_text(rows, args.samples, labels, stamps, fields[rows]))
 
     report = RunReport(
         "trajectory",

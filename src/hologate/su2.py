@@ -112,10 +112,15 @@ def max_abs(m) -> float:
 def pair_mul(a1, b1, a2, b2, out=(None, None)):
     """Cayley-Klein pair of [[a1, b1], ...] @ [[a2, b2], ...], elementwise.
     With ``out``, the pair is written into those two arrays, which must not
-    overlap the operands."""
+    overlap the operands.
+
+    The products with a conjugate go through ``np.multiply``: with the ``*``
+    operator, numpy computes operands of 256 KiB and more into the temporary
+    conjugate, as conj(...) * b1, and where complex multiply uses FMA that
+    order rounds otherwise, so a long call would not round as short ones."""
     return (
-        np.subtract(a1 * a2, b1 * b2.conj(), out=out[0]),
-        np.add(a1 * b2, b1 * a2.conj(), out=out[1]),
+        np.subtract(a1 * a2, np.multiply(b1, b2.conj()), out=out[0]),
+        np.add(a1 * b2, np.multiply(b1, a2.conj()), out=out[1]),
     )
 
 

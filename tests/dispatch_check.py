@@ -29,15 +29,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: The tests that pin output bytes: the golden files, the trajectory CSV
-#: against its independent row formatter and across chunkings, and the
-#: closed form's bits for many drives against one.
+#: against its independent row formatter and across chunkings, its fields'
+#: formatter against Python's ``%.17g``, the closed form's bits for many
+#: drives against one, and the pair product's bits for one long call against
+#: short ones.
 BYTE_TESTS = (
     "tests/test_golden.py",
+    "tests/test_cli.py::test_g17_writes_every_double_as_percent_17g",
     "tests/test_cli.py::test_trajectory_csv_matches_an_independent_row_formatter",
     "tests/test_cli.py::test_trajectory_chunks_do_not_move_a_byte",
     "tests/test_cli.py::test_trajectory_multi_beta_file_concatenates_single_beta_rows",
     "tests/test_evolution.py::test_closed_form_rows_equal_each_drive_s_exact_propagator_bit_for_bit",
     "tests/test_evolution.py::test_closed_form_bits_do_not_depend_on_how_many_times_are_asked_for",
+    "tests/test_su2.py::test_pair_mul_rounds_a_long_call_as_short_ones",
 )
 
 #: Level -> the tests known to fail there (numpy 2.4.6 on x86-64). At the

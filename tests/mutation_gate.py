@@ -255,8 +255,14 @@ MUTATIONS = [
     (
         "pairs: pair_mul's conj moved from b2 to b1",
         "su2.py",
-        "np.subtract(a1 * a2, b1 * b2.conj(), out=out[0])",
-        "np.subtract(a1 * a2, b1.conj() * b2, out=out[0])",
+        "np.subtract(a1 * a2, np.multiply(b1, b2.conj()), out=out[0])",
+        "np.subtract(a1 * a2, np.multiply(b1.conj(), b2), out=out[0])",
+    ),
+    (
+        "pairs: b1 * conj(b2) by the * operator, which numpy may swap in place",
+        "su2.py",
+        "np.multiply(b1, b2.conj())",
+        "b1 * b2.conj()",
     ),
     (
         "scan: the operands of each prefix product swapped",
@@ -357,14 +363,38 @@ MUTATIONS = [
     (
         "trajectory: every chunk labelled with the first chunk's betas",
         "cli.py",
-        "zip(betas[chunk], fields)",
-        "zip(betas[: len(fields)], fields)",
+        "for beta in betas[chunk]",
+        "for beta in betas[:per_chunk]",
     ),
     (
         "trajectory: every write formats the first rows' fields",
         "cli.py",
-        "values[3 * start : 3 * (start + len(block))]",
-        "values[: 3 * len(block)]",
+        "fields[rows]",
+        "fields[: len(rows)]",
+    ),
+    (
+        "g17: the 17 digits truncate err instead of rounding it",
+        "cli.py",
+        "np.rint(err).astype(np.int64)",
+        "err.astype(np.int64)",
+    ),
+    (
+        "g17: p = 1e16 kept when err < 0, below the decade",
+        "cli.py",
+        " & ((p > 1e16) | (err >= 0.0))",
+        "",
+    ),
+    (
+        "g17: trailing zeros counted one group short",
+        "cli.py",
+        "(zeros.take(g2) + (g2 == 0) * zeros.take(g1))",
+        "zeros.take(g2)",
+    ),
+    (
+        "g17: +-1 kept on the fast path",
+        "cli.py",
+        "fast = (a >= 1e-4) & (a < 1.0)",
+        "fast = (a >= 1e-4) & (a <= 1.0)",
     ),
 ]
 

@@ -7,9 +7,11 @@ Run by name, not collected by pytest:
 
 The draws cover the drive box of the tests (Omega in [0, 2], Delta in
 [-1, 2], w in [0.5, 2], 1-3000 steps, a fraction 0.01-1 of a period). A third
-of them put every coordinate at an end of its range, where hypothesis draws
-often; the corner Omega = Delta = 2, w = 0.5 of a full period turns the most,
-phi = 35.5 rad. The seed is fixed. Each draw measures, in units of eps:
+of them put every coordinate at an end of its range, or Delta at 0, where
+hypothesis draws often; the corner Omega = Delta = 2, w = 0.5 of a full period
+turns the most, phi = 35.5 rad, and Omega = Delta = 0 is the zero field,
+whose every factor is the identity. The seed is fixed. Each draw measures, in
+units of eps:
 - ``one_shot``: ``propagate`` against ``tests/one_shot_product.py``;
 - ``level``: the scan level against the one-shot tree's level;
 - ``samples``: segment snapshots (2-40 samples of 1-500 steps each) against
@@ -19,10 +21,10 @@ phi = 35.5 rad. The seed is fixed. Each draw measures, in units of eps:
   or the default 1024, against the oracle;
 - ``samples_oracle``: the segment snapshots against the oracle.
 
-It prints the largest gap per band of phi = |(Omega, Delta)| duration, the
-line c0 + c1 phi through the largest gaps, the largest share of
-``rounding_bound`` that a gap takes, and every gap the bound does not cover;
-the exit code is 1 if there is one.
+It prints the largest gap per band of phi = |(Omega, Delta)| duration and
+of the zero-field draws, the line c0 + c1 phi through the largest gaps, the
+largest share of ``rounding_bound`` that a gap takes, and every gap the bound
+does not cover; the exit code is 1 if there is one.
 """
 
 import sys
@@ -47,7 +49,8 @@ def draw(rng):
     """A drive, a step count, a fraction of a period, a sample grid and the
     most scan blocks."""
     if rng.uniform() < 1 / 3:
-        p = DriveParams(*(float(rng.choice(ends)) for ends in ((0.0, 2.0), (-1.0, 2.0), (0.5, 2.0))))
+        corners = ((0.0, 2.0), (-1.0, 0.0, 2.0), (0.5, 2.0))
+        p = DriveParams(*(float(rng.choice(ends)) for ends in corners))
         frac = float(rng.choice((0.01, 1.0)))
     else:
         p = DriveParams(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 2.0), rng.uniform(0.5, 2.0))
@@ -102,6 +105,10 @@ def main(draws: int) -> int:
         if band:
             worst = [max(g[n] for g in band) / EPS for n in names]
             print(f"{lo:4.0f}-{hi:<4.0f} {len(band):6d} " + " ".join(f"{w:14.2f}" for w in worst))
+    zero = [g for _, (p, *_), g in rows if p.omega_rabi == p.detuning == 0.0]
+    if zero:
+        worst = [max(g[n] for g in zero) / EPS for n in names]
+        print(f"{'zero':>9} {len(zero):6d} " + " ".join(f"{w:14.2f}" for w in worst))
     # the line through the largest gaps: c0 covers phi < 2, c1 the steepest rest
     worst = [(phi, max(g.values()) / EPS) for phi, _, g in rows]
     c0 = max(w for phi, w in worst if phi < 2.0)

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import math
+import struct
 import subprocess
 import sys
 import warnings
@@ -708,6 +709,30 @@ def test_trajectory_csv_matches_an_independent_row_formatter(tmp_path, capsys, s
     )
     assert code == 0
     assert out_file.read_bytes() == expected_trajectory_csv(betas, samples).encode()
+
+
+def g17_texts(values):
+    """Each value's field as ``cli._g17`` writes it: its grid row without NUL."""
+    return [row[row != 0].tobytes() for row in cli._g17(np.array(values, dtype=float))]
+
+
+#: Every double, NaN, infinities, subnormals and -0 among them, and every
+#: 64-bit pattern read as a double.
+ANY_DOUBLE = st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+)
+
+
+@given(values=st.lists(ANY_DOUBLE, min_size=1, max_size=64))
+# the doubles next to 10^-k on both sides, k = 0 .. 5: the ends of the fast
+# path and the decades where log10 may pick the scale one off
+@example(values=[float(np.nextafter(10.0**-k, end)) for k in range(6) for end in (0.0, math.inf)])
+@example(values=[1 - 2**-53, 0.99999999999999999, 1.0, -1.0, 0.0, -0.0, 1e-4, -1e-4])
+# few mantissa bits: 17 digits exactly, trailing zeros, and 18 digits ending
+# in 5, ties that round to even up (26215) and down (26217)
+@example(values=[0.5, -0.375, 0.25, 26215 * 2.0**-18, 26217 * 2.0**-18, -5243 * 2.0**-19])
+def test_g17_writes_every_double_as_percent_17g(values):
+    assert g17_texts(values) == [b"%.17g" % v for v in values]
 
 
 @pytest.mark.parametrize(
