@@ -29,13 +29,13 @@ from .drive import (
 )
 from .evolution import (
     DEFAULT_STEPS,
-    _closed_forms,
+    _closed_pairs,
     aa_eigenphases,
     exact_propagator,
     full_report,
     invariant_residual,
 )
-from .su2 import bloch_vectors, fidelity, max_abs
+from .su2 import fidelity, max_abs, pair_bloch
 from .synthesis import (
     TOLERANCE,
     TargetGate,
@@ -58,22 +58,24 @@ EXIT_INTERNAL = 4
 #: stopped rows held beside it. The cap bounds its time, 0.09-0.11 s at 10^7
 #: steps (in process, medians on a 2-core Xeon), not its memory.
 MAX_VERIFY_STEPS = 10_000_000
-#: Largest ``trajectory --samples``. One beta peaks at ~265 B per sample
-#: (tracemalloc, 10^5 and 3 x 10^5 samples), while its closed form and Bloch
-#: vectors are evaluated at every time at once, beside the 24 B per sample of
-#: the t column's text grid, so the cap bounds it at ~0.27 GB; further betas
-#: add nothing to the peak.
+#: Largest ``trajectory --samples``. A beta's times are evaluated and written
+#: TRAJECTORY_CHUNK_SAMPLES at a time, so one beta peaks at ~2.4 MB whatever
+#: its samples (tracemalloc: 2.41 MB at 3 x 10^5 and 2.52 MB at 10^6). The cap
+#: bounds the run's time, ~2-5 s and a 160 MB file at 10^6 samples a beta,
+#: not its memory.
 MAX_TRAJECTORY_SAMPLES = 1_000_000
-#: Most time samples, summed over its betas, that ``trajectory`` evaluates at
-#: once (a chunk holds at least one beta), and half the rows it formats at
-#: once. A chunk's closed forms and Bloch vectors are freed before its text
-#: is built; the 50 x 200 sweep, 10 betas a chunk, peaks at ~2.4 MB
-#: (tracemalloc), at the text grid of a chunk's 4,020 rows.
+#: Most time samples, summed over its betas, that ``trajectory`` evaluates and
+#: writes at once: a chunk is as many whole betas as fit, or a piece of one
+#: beta's times. Its line grid is allocated once per sweep and its ",t,",
+#: branch and separator columns filled once per piece of a beta's times, so
+#: once per sweep when a beta fits in a chunk. The 50 x 200 sweep, 10 betas a
+#: chunk, peaks at ~2.4 MB (tracemalloc).
 TRAJECTORY_CHUNK_SAMPLES = 2**11
-#: Largest count in ``trajectory --beta start:stop:count``. Every beta's drive
-#: is built before the file is opened, ~220 B per beta with its float
-#: (tracemalloc, the peak's growth from 10^4 to 10^5 betas), so the cap bounds
-#: them at ~0.2 GB.
+#: Largest count in ``trajectory --beta start:stop:count``. The sweep is held
+#: as one array of betas, of which only the ends are validated, and its drives
+#: are built a chunk at a time: the peak grows by ~14 B per beta (tracemalloc,
+#: 10^4 to 10^5 betas), so the cap bounds the run's time, ~9 s at 2 samples,
+#: not its memory.
 MAX_SWEEP_BETAS = 1_000_000
 #: Largest ``synth --length``. A batch of 128 starts peaks at ~41 kB per pulse
 #: (tracemalloc, lengths 200 to 2,000), so the cap bounds the search at ~0.4 GB.
@@ -395,8 +397,10 @@ def _cmd_catalog(args) -> RunReport:
     return report
 
 
-def _parse_beta_spec(text: str) -> list[float]:
-    """Either a comma list '0.1,0.5' or a sweep 'start:stop:count'."""
+def _parse_beta_spec(text: str) -> np.ndarray:
+    """The betas of a comma list '0.1,0.5' or a sweep 'start:stop:count',
+    validated by ``HolonomicGate``. A sweep's betas lie between its first and
+    last, so only those two are validated."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -413,8 +417,17 @@ def _parse_beta_spec(text: str) -> list[float]:
             raise ValueError(f"--beta sweep count must be <= {MAX_SWEEP_BETAS}, got {count}")
         # a non-finite end gives non-finite betas, which fail validation
         with np.errstate(over="ignore", invalid="ignore"):
-            return [float(b) for b in np.linspace(start, stop, count)]
-    return [_number(tok, "--beta entry") for tok in text.split(",") if tok.strip()]
+            betas = np.linspace(start, stop, count)
+        bounding = betas[[0, -1]]
+    else:
+        betas = bounding = np.array(
+            [_number(tok, "--beta entry") for tok in text.split(",") if tok.strip()]
+        )
+    if not betas.size:
+        raise ValueError("no beta values given")
+    for beta in bounding.tolist():
+        HolonomicGate(beta)
+    return betas
 
 
 #: Columns of one field in ``_g17``'s grid: the longest ``%.17g`` of a
@@ -431,8 +444,8 @@ def _g17_tables():
     - ``heads[10 h + lead]``: a field's first 8 bytes, as a uint64: head
       h = 4 sign + k ("0.", "0.0", ... "-0.000", with k zeros after the
       point), NUL-padded, then the lead digit;
-    - ``tails[z]``: the mask, as 2 uint64, that clears the last z of the 16
-      digit bytes after the lead;
+    - ``tails[:, z]``: the mask, as 2 uint64, that clears the last z of the
+      16 digit bytes after the lead;
     - the scales 10^(16 - E) for the decades E = -4 .. -1 (exact doubles).
     """
     d = np.arange(10_000)
@@ -449,7 +462,7 @@ def _g17_tables():
         digits,
         zeros,
         heads.reshape(80, 8).view(np.uint64).ravel(),
-        tails.view(np.uint64),
+        tails.view(np.uint64).T.copy(),
         np.array([1e20, 1e19, 1e18, 1e17]),
     )
 
@@ -459,21 +472,22 @@ def _g17(values: np.ndarray) -> np.ndarray:
     of a NUL-padded (len(values), ``_G17_WIDTH``) uint8 grid: row i without
     its NUL bytes is the text of ``values[i]``.
 
-    Every v with 1e-4 <= |v| < 1 that passes the guards below is written
-    from integer digits: ``%.17g`` writes it as "0." and its 17 significant
-    digits, correctly rounded, ties to even, with trailing zeros stripped.
-    Every other v (0, |v| >= 1, |v| < 1e-4, non-finite) takes Python's ``%``.
-    Only IEEE multiply, add, subtract, ``rint`` and exact casts reach the
-    digits, so they do not depend on how numpy dispatches its loops; a
-    decade that ``log10`` picks one off only makes a value fall back.
+    Every v with 1e-4 <= |v| < 1 is written from integer digits: ``%.17g``
+    writes it as "0." and its 17 significant digits, correctly rounded, ties
+    to even, with trailing zeros stripped. Every other v (0, |v| >= 1,
+    |v| < 1e-4, non-finite) takes Python's ``%``. Only comparisons, IEEE
+    multiply, add, subtract, ``rint``, exact casts and integer arithmetic
+    reach the digits, so they do not depend on how numpy dispatches its
+    loops.
     """
     digits, zeros, heads, tails, scales = _g17_tables()
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1.0)  # NaN fails both
     a = np.where(fast, a, 0.5)
-    # the decade E = floor(log10 a) as E + 4, 0 to 3: a >= 1e-4 puts it at
-    # -4 or above also where log10 rounds it one low, and a < 1 keeps it below 0
-    e = np.maximum(np.floor(np.log10(a)), -4.0).astype(np.intp) + 4
+    # the decade E = floor(log10 a) as E + 4, 0 to 3, from the doubles
+    # nearest 10^-3, 10^-2 and 10^-1. Each lies above its power of ten, as
+    # 1e-4 does, and no double lies between the two, so E is exact.
+    e = sum((a >= bound).view(np.uint8) for bound in (1e-3, 1e-2, 1e-1))
     # Dekker's TwoProduct without FMA (Numer. Math. 18, 224 (1971)): 2^27 + 1
     # splits each factor into two 26-bit halves, and a * 10^(16 - E) = p + err
     b = scales.take(e)
@@ -485,18 +499,19 @@ def _g17(values: np.ndarray) -> np.ndarray:
     b_low = b - b_high
     p = a * b
     err = ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
-    # E is the decade of a exactly when 1e16 <= p + err < 1e17; p rounds that
-    # sum, so p = 1e16 with err < 0 lies below it
-    ok = fast & (p >= 1e16) & (p < 1e17) & ((p > 1e16) | (err >= 0.0))
-    # p >= 2^53 is an even integer and |err| <= 8, so n is p + err rounded
-    # to an integer, ties to even: the 17 digits, below 1e17 as p <= 1e17 - 16.
-    # The rows that fail the guards are written again below; 1e16 keeps
-    # their digits in the tables' range.
-    n = np.where(ok, p, 1e16).astype(np.int64) + np.rint(err).astype(np.int64)
-    high, low = np.divmod(n, 10**8)
-    high, low = high.astype(np.uint32), low.astype(np.uint32)
-    lead, g1, g2 = high // 10**8, high // 10**4 % 10**4, high % 10**4
-    g3, g4 = low // 10**4, low % 10**4
+    # As E is exact, 1e16 <= p + err < 1e17 - 8: the largest doubles below
+    # 1e-3, 1e-2, 1e-1 and 1 scale to 1e17 - 19.6, - 15.3, - 8.3 and - 11.1.
+    # So 1e16 <= p <= 1e17 - 16, err >= 0 where p = 1e16, and, p >= 2^53
+    # being an even integer and |err| <= 8, n is p + err rounded to an
+    # integer, ties to even: the 17 digits.
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # quotient and remainder by // and a product: numpy's divmod and % take
+    # several times as long as // by a constant
+    high = n // 10**8
+    high, low = high.astype(np.uint32), (n - high * 10**8).astype(np.uint32)
+    rest, g3 = high // 10**4, low // 10**4
+    lead = rest // 10**4
+    g1, g2, g4 = rest - lead * 10**4, high - rest * 10**4, low - g3 * 10**4
     # trailing zeros of the 16 digits after the lead, a group of 4 at a time
     z = zeros.take(g4) + (g4 == 0) * (
         zeros.take(g3) + (g3 == 0) * (zeros.take(g2) + (g2 == 0) * zeros.take(g1))
@@ -508,8 +523,9 @@ def _g17(values: np.ndarray) -> np.ndarray:
     groups = text.view(np.uint32)  # bytes 8 to 23: the groups g1 .. g4
     groups[:, 2], groups[:, 3] = digits.take(g1), digits.take(g2)
     groups[:, 4], groups[:, 5] = digits.take(g3), digits.take(g4)
-    words[:, 1:] &= tails.take(z, axis=0)
-    slow = np.flatnonzero(~ok)
+    words[:, 1] &= tails[0].take(z)
+    words[:, 2] &= tails[1].take(z)
+    slow = np.flatnonzero(~fast)
     if slow.size:
         text[slow] = _text_grid([b"%.17g" % v for v in values[slow].tolist()], _G17_WIDTH)
     return text
@@ -525,77 +541,104 @@ def _text_grid(texts: list[bytes] | tuple[bytes, ...], width: int | None = None)
     return grid
 
 
-#: The branch field of a beta's rows with its separator: "0" and "1" at every
+#: The branch field of a beta's rows with its comma: "0" and "1" at every
 #: time, then the one-period endpoint map at the last time.
 _BRANCHES = (b"0,", b"1,", b"0_final,", b"1_final,")
+#: The columns of a trajectory line in its grid: the beta, the ",t," stamp
+#: and the branch, each NUL-padded, then from column _FIELDS on x, y and z
+#: in cells of _CELL columns: a sign byte ("-" or NUL), the ``_g17`` text of
+#: the field's magnitude, and the separator after it.
+_LABEL = slice(0, _G17_WIDTH)
+_STAMP = slice(_G17_WIDTH, 2 * _G17_WIDTH + 2)
+_BRANCH = slice(2 * _G17_WIDTH + 2, 2 * _G17_WIDTH + 10)
+_FIELDS = _BRANCH.stop
+_CELL = _G17_WIDTH + 2
+_LINE_WIDTH = _FIELDS + 3 * _CELL
+#: The magnitudes formatted per (beta, time), as the (column, axis) indices
+#: of ``pair_bloch``: |x_0|, |y_0|, |y_1| and |z_0|. |x_1| and |z_1| have the
+#: bits of |x_0| and |z_0|, so both branches take their text.
+_MAGNITUDES = ((0, 0, 1, 0), (0, 1, 1, 2))
 
 
-def _trajectory_text(rows, samples, labels, stamps, fields) -> bytes:
-    """The CSV lines ``rows`` (indices into a chunk's rows, ``2 samples + 2``
-    a beta) with their x, y, z ``fields``, shape (len(rows), 3). ``labels``
-    holds the text grid (``_text_grid``) of the chunk's beta fields,
-    ``stamps`` that of ",t," at every time.
+def _piece_times(period: float, samples: int, start: int, stop: int) -> np.ndarray:
+    """``np.linspace(0.0, period, samples)[start:stop]``, computed for those
+    times only: linspace writes time i as i * (period / (samples - 1)), and
+    ``period`` itself last."""
+    times = np.arange(start, stop, dtype=float) * (period / (samples - 1))
+    if stop == samples:
+        times[-1] = period
+    return times
 
-    Each part of a line is a column block of one NUL-padded uint8 grid, a
-    line a row, so the grid's bytes other than NUL are the lines in order.
-    """
-    beta, row = np.divmod(rows, 2 * samples + 2)
-    time = np.minimum(row // 2, samples - 1)
-    branch = row % 2 + 2 * (row >= 2 * samples)
-    x, y, z = np.moveaxis(_g17(fields.ravel()).reshape(len(rows), 3, _G17_WIDTH), 1, 0)
-    comma, newline = (np.full((len(rows), 1), ord(sep), np.uint8) for sep in ",\n")
-    grid = np.concatenate(
-        (
-            labels.take(beta, axis=0),
-            stamps.take(time, axis=0),
-            _text_grid(_BRANCHES).take(branch, axis=0),
-            x, comma, y, comma, z, newline,
-        ),
-        axis=1,
-    )
-    return grid[grid != 0].tobytes()
+
+def _fill_template(lines: np.ndarray, times: np.ndarray, final: bool) -> None:
+    """Write the columns of the line grid ``lines`` (beta, time, branch,
+    column) that depend only on a line's place within its beta: the ",t,"
+    stamp of each of ``times``, the branch, and the fields' separators. With
+    ``final``, the lines of the last time are the endpoint map."""
+    stamps = _text_grid([b",%.17g," % t for t in times.tolist()], _STAMP.stop - _STAMP.start)
+    lines[..., _STAMP] = stamps[:, None]
+    branches = _text_grid(_BRANCHES)
+    lines[..., _BRANCH] = branches[:2]
+    if final:
+        lines[:, -1, :, _BRANCH] = branches[2:]
+    lines[..., _FIELDS + _CELL - 1 :: _CELL] = np.frombuffer(b",,\n", np.uint8)
 
 
 def _cmd_trajectory(args) -> RunReport:
-    betas = _parse_beta_spec(args.beta)
-    if not betas:
-        raise ValueError("no beta values given")
-    if args.samples < 2:
-        raise ValueError(f"samples must be >= 2, got {args.samples}")
-    if args.samples > MAX_TRAJECTORY_SAMPLES:
-        raise ValueError(f"samples must be <= {MAX_TRAJECTORY_SAMPLES}, got {args.samples}")
-
     # every beta is validated before --out is opened, so a bad one leaves no file
-    drives = [params_from_beta(HolonomicGate(beta)) for beta in betas]
+    betas = _parse_beta_spec(args.beta)
+    samples = args.samples
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    if samples > MAX_TRAJECTORY_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_TRAJECTORY_SAMPLES}, got {samples}")
+
     # HolonomicGate drives at frequency 1 whatever beta, so one period serves all
-    times = np.linspace(0.0, drives[0].period, args.samples)
-    stamps = _text_grid([b",%.17g," % t for t in times.tolist()])
-    per_chunk = max(1, TRAJECTORY_CHUNK_SAMPLES // args.samples)
-    per_write = 2 * TRAJECTORY_CHUNK_SAMPLES  # rows formatted at a time
+    period = params_from_beta(HolonomicGate(float(betas[0]))).period
+    # a chunk is the betas, or the piece of one beta's times, evaluated at once
+    piece = min(samples, TRAJECTORY_CHUNK_SAMPLES)
+    per_chunk = min(len(betas), max(1, TRAJECTORY_CHUNK_SAMPLES // samples))
+    # per beta, the lines of both branches at each time of a piece, and at
+    # the last time again for the endpoint map
+    grid = np.zeros((per_chunk, piece + 1, 2, _LINE_WIDTH), np.uint8)
+    filled = None
     worst_sphere = 0.0
     with open(args.out, "wb") as fh:
         fh.write(b"beta,t,branch,x,y,z\n")
-        for first in range(0, len(drives), per_chunk):
-            chunk = slice(first, first + per_chunk)
-            # swap the matrix axes so the last axis runs over a column's entries
-            points = bloch_vectors(np.swapaxes(_closed_forms(drives[chunk], times), -1, -2))
-            sphere = float(np.max(np.abs(np.sum(points**2, axis=-1) - 1.0)))
-            worst_sphere = max(worst_sphere, sphere)
-            # per beta, its points at every time and then again at the last:
-            # the x, y, z of the chunk's rows in file order
-            fields = np.concatenate((points, points[:, -1:]), axis=1).reshape(-1, 3)
-            del points
-            labels = _text_grid([b"%.17g" % beta for beta in betas[chunk]])
-            for start in range(0, len(fields), per_write):
-                rows = np.arange(start, min(start + per_write, len(fields)))
-                fh.write(_trajectory_text(rows, args.samples, labels, stamps, fields[rows]))
+        for first in range(0, len(betas), per_chunk):
+            chunk = betas[first : first + per_chunk].tolist()
+            drives = [params_from_beta(HolonomicGate(beta)) for beta in chunk]
+            labels = _text_grid([b"%.17g" % beta for beta in chunk], _G17_WIDTH)
+            grid[: len(chunk), ..., _LABEL] = labels[:, None, None]
+            for start in range(0, samples, piece):
+                stop = min(start + piece, samples)
+                times = _piece_times(period, samples, start, stop)
+                if stop == samples:
+                    times = np.append(times, times[-1])
+                if filled != (start, stop):
+                    filled = start, stop
+                    _fill_template(grid[:, : len(times)], times, stop == samples)
+                points = pair_bloch(*_closed_pairs(drives, times))
+                squares = points * points
+                sphere = np.max(np.abs((squares[..., 0] + squares[..., 1]) + squares[..., 2] - 1.0))
+                worst_sphere = max(worst_sphere, float(sphere))
+                lines = grid[: len(chunk), : len(times)]
+                cells = lines[..., _FIELDS:].reshape(lines.shape[:-1] + (3, _CELL))
+                cells[..., 0] = (points < 0.0) * np.uint8(ord("-"))
+                text = _g17(np.abs(points[..., _MAGNITUDES[0], _MAGNITUDES[1]]).ravel())
+                text = text.reshape(points.shape[:2] + (4, _G17_WIDTH))
+                digits = cells[..., 1 : 1 + _G17_WIDTH]
+                digits[..., 0, :] = text[:, :, None, 0]
+                digits[..., 1, :] = text[:, :, 1:3]
+                digits[..., 2, :] = text[:, :, None, 3]
+                fh.write(lines[lines != 0])
 
     report = RunReport(
         "trajectory",
-        params={"beta": args.beta, "samples": args.samples, "out": args.out},
+        params={"beta": args.beta, "samples": samples, "out": args.out},
     )
     report.values["n_betas"] = len(betas)
-    report.values["n_rows"] = len(betas) * (2 * args.samples + 2)
+    report.values["n_rows"] = len(betas) * (2 * samples + 2)
     report.values["max_sphere_deviation"] = worst_sphere
     report.check("on_sphere", worst_sphere, CHECK_BOUNDS["on_sphere"])
     return report

@@ -488,13 +488,13 @@ def exact_propagator(p: DriveParams, t) -> np.ndarray:
     in the frame co-rotating with the drive, exact up to rounding for any
     drive, holonomic or not. Raises ValueError if any time is NaN or infinite.
     """
-    return _closed_forms([p], t)[0]
+    return pair_matrix(*_closed_pairs([p], t))[0]
 
 
-def _closed_forms(drives, t) -> np.ndarray:
+def _closed_pairs(drives, t) -> tuple[np.ndarray, np.ndarray]:
     """The closed form of ``exact_propagator`` for each drive in ``drives``
-    at the same times ``t``: shape ``(len(drives),) + t.shape + (2, 2)``,
-    row k that of ``drives[k]``.
+    at the same times ``t``, as its Cayley-Klein pairs (a, b), each of shape
+    ``(len(drives),) + t.shape``, row k that of ``drives[k]``.
 
     lam, nx and nz are computed per drive with ``math.hypot`` and float
     division, then broadcast over the times. Every operation after that is
@@ -521,7 +521,7 @@ def _closed_forms(drives, t) -> np.ndarray:
     # np.multiply keeps frame the left operand at every size: on a temporary
     # of over 256 KiB, numpy runs ``*`` in place with the operands swapped, and
     # the fused imaginary part of the complex product is not commutative
-    return pair_matrix(np.multiply(frame, c - 1j * s * nz), np.multiply(frame, -1j * s * nx))
+    return np.multiply(frame, c - 1j * s * nz), np.multiply(frame, -1j * s * nx)
 
 
 def _energy(p: DriveParams, ts: np.ndarray, psi0, psi1) -> np.ndarray:

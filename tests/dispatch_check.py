@@ -30,18 +30,21 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: The tests that pin output bytes: the golden files, the trajectory CSV
 #: against its independent row formatter and across chunkings, its fields'
-#: formatter against Python's ``%.17g``, the closed form's bits for many
-#: drives against one, and the pair product's bits for one long call against
-#: short ones.
+#: formatter against Python's ``%.17g``, its times against one linspace, the
+#: closed form's bits for many drives against one, the pair product's bits
+#: for one long call against short ones, and the pair Bloch map's against
+#: ``bloch_vectors`` with the mirrored |x| and |z| the CSV writer shares.
 BYTE_TESTS = (
     "tests/test_golden.py",
     "tests/test_cli.py::test_g17_writes_every_double_as_percent_17g",
     "tests/test_cli.py::test_trajectory_csv_matches_an_independent_row_formatter",
     "tests/test_cli.py::test_trajectory_chunks_do_not_move_a_byte",
     "tests/test_cli.py::test_trajectory_multi_beta_file_concatenates_single_beta_rows",
+    "tests/test_cli.py::test_piece_times_are_the_slices_of_one_linspace",
     "tests/test_evolution.py::test_closed_form_rows_equal_each_drive_s_exact_propagator_bit_for_bit",
     "tests/test_evolution.py::test_closed_form_bits_do_not_depend_on_how_many_times_are_asked_for",
     "tests/test_su2.py::test_pair_mul_rounds_a_long_call_as_short_ones",
+    "tests/test_su2.py::test_pair_bloch_is_bloch_vectors_of_the_columns_bit_for_bit",
 )
 
 #: Level -> the tests known to fail there (numpy 2.4.6 on x86-64). At the

@@ -5,6 +5,7 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -570,7 +571,10 @@ def test_trajectory_rejects_single_sample(tmp_path, capsys):
 
 
 def test_trajectory_rejects_samples_above_the_cap(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("hologate.cli._closed_forms", lambda *a: pytest.fail("sampled"))
+    # the guard patches the sampling that the writer calls: a valid run trips it
+    monkeypatch.setattr("hologate.cli._closed_pairs", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(pytest.fail.Exception, match="sampled"):
+        main(["trajectory", "--beta", "0.3", "--samples", "2", "--out", str(tmp_path / "ok.csv")])
     samples = MAX_TRAJECTORY_SAMPLES + 1
     code, out, err = run_cli(
         capsys, "trajectory", "--beta", "0.3", "--samples", str(samples),
@@ -662,6 +666,16 @@ def test_trajectory_out_of_range_last_beta_writes_no_file(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("spec", ["0.3:1.6:3", "1.6:0.3:3"])
+def test_trajectory_sweep_past_pi_half_at_either_end_writes_no_file(tmp_path, capsys, spec):
+    # a sweep is validated at its ends before --out opens: a bad stop must not
+    # wait for the drives of its chunk, nor a bad start for the first beta
+    code, out, err = run_cli(capsys, "trajectory", "--beta", spec, "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert err == "error: beta must lie in [0, pi/2], got 1.6\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_trajectory_multi_beta_file_concatenates_single_beta_rows(tmp_path, capsys):
     betas = ["0.2", "0.785", "1.4"]
     paths = [tmp_path / f"{i}.csv" for i in range(len(betas))] + [tmp_path / "all.csv"]
@@ -737,9 +751,10 @@ def test_g17_writes_every_double_as_percent_17g(values):
 
 @pytest.mark.parametrize(
     "chunk_samples",
-    [1, 9, 18, 10**6],
-    # at 9 samples: 2 rows a write; 1 beta a chunk; 2, 2, 1 betas; 1 chunk
-    ids=["two_rows_a_write", "one_beta_a_chunk", "uneven_chunks", "one_chunk"],
+    [1, 4, 9, 18, 10**6],
+    # at 9 samples: each beta in 9 pieces of 1 time, 2 rows a write; each
+    # beta in pieces of 4, 4 and 1 times; 1 beta a chunk; 2, 2, 1 betas; 1 chunk
+    ids=["two_rows_a_write", "one_beta_in_pieces", "one_beta_a_chunk", "uneven_chunks", "one_chunk"],
 )
 def test_trajectory_chunks_do_not_move_a_byte(tmp_path, capsys, monkeypatch, chunk_samples):
     monkeypatch.setattr(cli, "TRAJECTORY_CHUNK_SAMPLES", chunk_samples)
@@ -758,6 +773,32 @@ def test_trajectory_chunks_do_not_move_a_byte(tmp_path, capsys, monkeypatch, chu
         points = bloch_vectors(np.swapaxes(exact_propagator(p, np.linspace(0.0, p.period, 9)), -1, -2))
         sphere = max(sphere, float(np.max(np.abs(np.sum(points**2, axis=-1) - 1.0))))
     assert float(parse_machine(out)["max_sphere_deviation"]) == sphere
+
+
+@pytest.mark.parametrize("samples", [2, 3, 9, 2049, 4097, 10**5 + 3])
+def test_piece_times_are_the_slices_of_one_linspace(samples):
+    period = 2 * math.pi
+    whole = np.linspace(0.0, period, samples)
+    for start, stop in ((0, samples), (0, 1), (1, samples), (samples // 2, samples), (samples - 1, samples)):
+        assert np.array_equal(cli._piece_times(period, samples, start, stop), whole[start:stop])
+
+
+def test_trajectory_memory_does_not_grow_with_the_samples(tmp_path, capsys):
+    # a beta's times are evaluated TRAJECTORY_CHUNK_SAMPLES at a time, so its
+    # peak is that of a piece: measured 2.41 MB at both 10^4 and 3 x 10^5
+    # samples; every time at once would hold ~272 B a sample (81.6 MB)
+    argv = ["trajectory", "--beta", "0.3", "--out", str(tmp_path / "t.csv"), "--samples"]
+    assert main(argv + ["2"]) == 0  # builds the parser and the tables of _g17
+    peaks = []
+    for samples in (10**4, 3 * 10**5):
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(samples)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] <= peaks[0] + 256 * 1024
 
 
 def test_trajectory_unwritable_path_is_io_error(tmp_path, capsys):

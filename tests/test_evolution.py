@@ -636,7 +636,7 @@ times = st.floats(-100.0, 100.0) | hnp.arrays(
 @example(drives=[DriveParams(0.4896632363749396, -0.3140467952181687, 1.0)], t=1.0)
 @example(drives=[params_from_beta(HolonomicGate(b)) for b in (0.0, 0.3, math.pi / 2)], t=np.ones(9))
 def test_closed_form_rows_equal_each_drive_s_exact_propagator_bit_for_bit(drives, t):
-    rows = evolution._closed_forms(drives, t)
+    rows = pair_matrix(*evolution._closed_pairs(drives, t))
     assert rows.shape == (len(drives),) + np.shape(t) + (2, 2)
     for p, row in zip(drives, rows):
         assert same_bits(row, exact_propagator(p, t))
@@ -653,7 +653,7 @@ def test_closed_form_bits_do_not_depend_on_how_many_times_are_asked_for():
     for p in gates:
         whole = exact_propagator(p, t)
         assert same_bits(whole, np.concatenate([exact_propagator(p, part) for part in np.split(t, 200)]))
-    assert same_bits(evolution._closed_forms(gates, t)[0], exact_propagator(gates[0], t))
+    assert same_bits(pair_matrix(*evolution._closed_pairs(gates, t))[0], exact_propagator(gates[0], t))
 
 
 # --- full_report -----------------------------------------------------------------

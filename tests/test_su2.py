@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hologate import (
@@ -13,10 +13,11 @@ from hologate import (
     pauli,
     su2_exp,
 )
-from hologate.su2 import pair_matrix, pair_mul, pair_of
+from hologate.evolution import _closed_pairs
+from hologate.su2 import pair_bloch, pair_matrix, pair_mul, pair_of
 from hologate.synthesis import _fold, _jacobian
 
-from conftest import random_unitary
+from conftest import any_drive, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 
@@ -220,6 +221,29 @@ def test_pair_mul_rounds_a_long_call_as_short_ones():
         axis=1,
     )
     assert np.array_equal(long.view(np.uint64), short.view(np.uint64))
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@given(p=any_drive(), n=st.integers(1, 64), end=st.floats(0.0, 100.0))
+@settings(max_examples=40)
+def test_pair_bloch_is_bloch_vectors_of_the_columns_bit_for_bit(p, n, end):
+    # the closed-form pairs of a drive from the whole valid domain, in a short
+    # call and in one of 20,000 pairs: from 16,384 pairs (256 KiB) on, numpy
+    # may run ``*`` on a temporary in place with the operands swapped
+    long = _closed_pairs([p], np.linspace(0.0, end, 20_000))
+    for a, b in (_closed_pairs([p], np.linspace(0.0, end, n)), long):
+        points = pair_bloch(a, b)
+        columns = np.swapaxes(pair_matrix(a, b), -1, -2)
+        assert np.array_equal(bits(points), bits(bloch_vectors(columns)))
+        # the shortcut of the trajectory writer: |x_1| and |z_1| are |x_0| and |z_0|
+        magnitudes = bits(np.abs(points))
+        assert np.array_equal(magnitudes[..., 1, 0], magnitudes[..., 0, 0])
+        assert np.array_equal(magnitudes[..., 1, 2], magnitudes[..., 0, 2])
+    # a long call rounds as short ones
+    assert np.array_equal(bits(pair_bloch(*long)[:, :100]), bits(pair_bloch(*(x[:, :100] for x in long))))
 
 
 @given(seed=st.integers(0, 2**31), n=st.integers(1, 64))

@@ -24,6 +24,7 @@ from hologate.synthesis import TOLERANCE, _descend, _fold, _jacobian, _residual,
 
 import search_reference
 from conftest import random_unitary, rounding_bound
+from dual_jacobian import DUAL_JACOBIAN_K, jacobian_gap
 
 I2 = np.eye(2, dtype=complex)
 
@@ -279,6 +280,17 @@ def test_jacobian_matches_central_differences(coords):
         step[k, 0] = h
         numeric = (_jacobian(x + step)[0] - _jacobian(x - step)[0]) / (2 * h)
         assert max_abs(jac[k, :, 0] - numeric[:, 0]) <= 1e-7
+
+
+@given(coords=st.lists(st.floats(-4.0, 6.0), min_size=1, max_size=8))
+# the fold points 0, pi/2 (kept, not reflected), pi and -pi/2, a reflected
+# point next to pi/2, and a catalog angle where no term of dg vanishes
+@example(coords=[0.0, math.pi / 2, math.pi, -math.pi / 2, math.nextafter(math.pi / 2, 4.0), 0.423])
+@settings(max_examples=200)
+def test_jacobian_matches_the_dual_number_product_to_rounding(coords):
+    # dual_jacobian shares no code with _jacobian; the central differences
+    # above agree to 1e-7 only, which a dg term off by 1e-9 passes
+    assert jacobian_gap(coords) <= DUAL_JACOBIAN_K
 
 
 @given(coords=search_coords, seed=st.integers(0, 2**32 - 1))
