@@ -84,9 +84,17 @@ MAX_SYNTH_LENGTH = 10_000
 #: [0.02, 1.55], max |gamma_traj| (steps / T)^2 measured 0.0589 at 16, 10^3,
 #: 10^4, 10^5 and 10^6 steps (0.0589 also on 1001 beta over [0, pi/2]).
 TRAJECTORY_PHASE_COEFF = 0.07
+#: k in the invariant_equation bound min(1e-8, k invariant_rounding(p)).
+#: Over 20,000 seeded drives that the tests do not use
+#: (``tests/invariant_sweep.py``) the residual measured at most 3.0
+#: invariant_rounding(p), 3 eta at a subnormal Omega with w, |Delta| < 1/2;
+#: at most 1.81 with a normal Omega, and 0.99 at w = 1.
+INVARIANT_ROUNDING_COEFF = 5.0
 #: Every constant check bound, by check name; a check passes when its measured
-#: value is <= its bound. Only ``trajectory_dynamical_phase``
-#: (TRAJECTORY_PHASE_COEFF) scales with its inputs.
+#: value is <= its bound. ``trajectory_dynamical_phase``
+#: (TRAJECTORY_PHASE_COEFF) scales with its inputs, and ``invariant_equation``
+#: takes the smaller of its entry and INVARIANT_ROUNDING_COEFF
+#: invariant_rounding(p), so the scaling can only tighten it.
 CHECK_BOUNDS = {
     # verify
     "unitarity": 1e-10,  # max |U^dag U - I|
@@ -97,7 +105,7 @@ CHECK_BOUNDS = {
     "spectral_agreement": 1e-6,  # max |U_spectral - U_num|
     "spectral_exact": 1e-14,  # max |U_spectral - U_exact|
     "transitionless": 1e-7,  # 1 - min |<phi(T)|U phi(0)>|
-    "invariant_equation": 1e-8,  # max |dI/dt + i[H, I]| at h = 1e-5
+    "invariant_equation": 1e-8,  # max |dI/dt + i[H, I]|, dI/dt in closed form
     "analytic_agreement": 1e-6,  # max |U_num - U_analytic|
     # catalog, per row
     "reproduction": 1e-5,  # 1 - composed fidelity
@@ -218,6 +226,21 @@ def _parse_drive(text: str) -> DriveParams:
     return DriveParams(rabi, detuning, 1.0)
 
 
+def invariant_rounding(p: DriveParams) -> float:
+    """(eps Omega + eta)(Omega + |Delta| + w) + eta, the rounding scale of
+    ``invariant_residual``, with eta = 2^-1074 the smallest subnormal.
+
+    Each entry of dI/dt + i [H, I] sums products of Omega exp(-i w t) with
+    Omega, Delta or w. Under gradual underflow a product rounds by eps
+    relative plus at most eta/2 absolute (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 2.1): the error of a subnormal
+    Omega exp(-i w t) is carried by the field it multiplies, and a product
+    that itself underflows adds the last eta."""
+    eta = math.ulp(0.0)
+    fields = p.omega_rabi + abs(p.detuning) + p.omega_drive
+    return (sys.float_info.epsilon * p.omega_rabi + eta) * fields + eta
+
+
 def verify_checks(p: DriveParams, steps: int, analytic=None) -> tuple[dict, dict]:
     """``verify`` on drive ``p`` at ``steps`` steps, in ``--machine`` order: (values,
     {check: (value, bound)}). ``analytic``, the gate to match, adds analytic_agreement."""
@@ -245,7 +268,7 @@ def verify_checks(p: DriveParams, steps: int, analytic=None) -> tuple[dict, dict
     v["spectral_exact_error"] = max_abs(rep.spectral - exact)
     v["exact_error"] = max_abs(rep.propagator - exact)
     v["invariant_residual"] = max(
-        invariant_residual(p, frac * p.period, 1e-5) for frac in (0.1, 0.3, 0.5, 0.7, 0.9)
+        invariant_residual(p, frac * p.period) for frac in (0.1, 0.3, 0.5, 0.7, 0.9)
     )
     if analytic is not None:
         v["analytic_gate_error"] = max_abs(rep.propagator - analytic)
@@ -264,7 +287,10 @@ def verify_checks(p: DriveParams, steps: int, analytic=None) -> tuple[dict, dict
         "spectral_agreement": (v["spectral_error"], CHECK_BOUNDS["spectral_agreement"]),
         "spectral_exact": (v["spectral_exact_error"], CHECK_BOUNDS["spectral_exact"]),
         "transitionless": (rep.transitionless_defect, CHECK_BOUNDS["transitionless"]),
-        "invariant_equation": (v["invariant_residual"], CHECK_BOUNDS["invariant_equation"]),
+        "invariant_equation": (
+            v["invariant_residual"],
+            min(CHECK_BOUNDS["invariant_equation"], INVARIANT_ROUNDING_COEFF * invariant_rounding(p)),
+        ),
     }
     if analytic is not None:
         checks["analytic_agreement"] = v["analytic_gate_error"], CHECK_BOUNDS["analytic_agreement"]
@@ -287,19 +313,22 @@ def _cmd_verify(args) -> RunReport:
 
 
 def _parse_matrix_file(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = []
-        for number, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            rows.append([])
-            for tok in line.replace(",", " ").split():
-                try:
-                    rows[-1].append(complex(tok))
-                except ValueError:
-                    message = f"{path} line {number}: {tok!r} is not a complex number"
-                    raise ValueError(message) from None
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                rows.append([])
+                for tok in line.replace(",", " ").split():
+                    try:
+                        rows[-1].append(complex(tok))
+                    except ValueError:
+                        message = f"{path} line {number}: {tok!r} is not a complex number"
+                        raise ValueError(message) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError(f"{path}: expected a 2x2 matrix (two lines of two complex entries)")
     return np.array(rows, dtype=complex)
@@ -312,7 +341,7 @@ def _resolve_target(text: str) -> TargetGate:
         pass
     try:
         matrix = _parse_matrix_file(text)
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         raise ValueError(
             f"target {text!r} is neither a standard name (NOT, Hadamard, Phase, T) "
             "nor a readable matrix file"

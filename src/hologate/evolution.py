@@ -654,15 +654,17 @@ def full_report(p: DriveParams, steps: int = DEFAULT_STEPS) -> EvolutionReport:
     )
 
 
-def invariant_residual(p: DriveParams, t: float, h: float) -> float:
-    """Max-norm defect of the invariant equation dI/dt = -i [H, I], with the
-    time derivative taken by central difference at step h (O(h^2)). Raises
-    ValueError if ``t`` is not finite or ``h`` is not finite and positive."""
+def invariant_residual(p: DriveParams, t: float) -> float:
+    """Max-norm defect of the invariant equation dI/dt + i [H, I] = 0, with
+    dI/dt = w Omega (-sin(w t) sx + cos(w t) sy) in closed form: its (0, 1)
+    entry is -i w Omega exp(-i w t) and its (1, 0) entry the conjugate. The
+    derivative is written from the drive's fields, not from ``invariant``, so
+    the defect tests ``invariant``'s formula. Raises ValueError if ``t`` is
+    not finite."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and > 0, got {h}")
-    deriv = (invariant(p, t + h) - invariant(p, t - h)) / (2.0 * h)
+    rate = -1j * p.omega_drive * p.omega_rabi * np.exp(-1j * p.omega_drive * t)
+    deriv = np.array([[0.0, rate], [rate.conjugate(), 0.0]])
     ham = hamiltonian(p, t)
     inv = invariant(p, t)
     return max_abs(deriv + 1j * (ham @ inv - inv @ ham))

@@ -356,6 +356,27 @@ MUTATIONS = [
         "tests/test_drive.py::test_closed_forms_read_the_stored_offset_not_detuning_minus_drive",
     ),
     (
+        "invariant: the transverse part scaled by 1 + 1e-10",
+        "drive.py",
+        "    off = p.omega_rabi * np.exp(-1j * p.omega_drive * t)\n",
+        "    off = p.omega_rabi * (1 + 1e-10) * np.exp(-1j * p.omega_drive * t)\n",
+        "tests/test_cli.py::test_verify_fails_the_invariant_equation_on_an_invariant_off_by_1e_10",
+    ),
+    (
+        "invariant residual: the derivative's w factor dropped",
+        "evolution.py",
+        "rate = -1j * p.omega_drive * p.omega_rabi * np.exp",
+        "rate = -1j * p.omega_rabi * np.exp",
+        "tests/test_evolution.py::test_invariant_residual_small_for_random_drives",
+    ),
+    (
+        "invariant residual: the derivative's sign flipped",
+        "evolution.py",
+        "rate = -1j * p.omega_drive",
+        "rate = 1j * p.omega_drive",
+        "tests/test_acceptance.py::test_criterion_4_invariant_equation",
+    ),
+    (
         "drive: lr_phase reads Delta - w from Delta again",
         "drive.py",
         "lam = math.hypot(p.omega_rabi, p.offset)",

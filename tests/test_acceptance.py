@@ -19,6 +19,8 @@ from hologate import (
     compose,
     dynamical_integrand,
     fidelity,
+    hamiltonian,
+    invariant,
     invariant_residual,
     max_abs,
     noncommutativity_witness,
@@ -28,7 +30,7 @@ from hologate import (
     standard_target,
     synthesize,
 )
-from hologate.cli import CHECK_BOUNDS, verify_checks
+from hologate.cli import CHECK_BOUNDS, INVARIANT_ROUNDING_COEFF, invariant_rounding, verify_checks
 from hologate.cli import main as cli_main
 
 BETA_GRID = np.linspace(0.0, math.pi / 2, 20)
@@ -130,9 +132,16 @@ def test_criterion_3_holonomy_verification(verified):
     )
 
 
+def _central_difference_residual(p, t, h):
+    """max |dI/dt + i[H, I]| with dI/dt by central difference at step h, O(h^2)."""
+    deriv = (invariant(p, t + h) - invariant(p, t - h)) / (2.0 * h)
+    ham, inv = hamiltonian(p, t), invariant(p, t)
+    return max_abs(deriv + 1j * (ham @ inv - inv @ ham))
+
+
 def test_criterion_4_invariant_equation():
     rng = np.random.default_rng(20260809)
-    worst_residual = 0.0
+    worst_share = 0.0
     ratios = []
     for _ in range(100):
         p = DriveParams(
@@ -141,19 +150,21 @@ def test_criterion_4_invariant_equation():
             omega_drive=float(rng.uniform(0.5, 2.0)),
         )
         t = float(rng.uniform(0.0, 10.0))
-        worst_residual = max(worst_residual, invariant_residual(p, t, 1e-5))
-        coarse = invariant_residual(p, t, 1e-4)
-        fine = invariant_residual(p, t, 5e-5)
+        bound = INVARIANT_ROUNDING_COEFF * invariant_rounding(p)
+        worst_share = max(worst_share, invariant_residual(p, t) / bound)
+        # the equation itself, independent of the closed-form derivative: the
+        # central difference's defect shrinks as h^2
+        coarse = _central_difference_residual(p, t, 1e-4)
+        fine = _central_difference_residual(p, t, 5e-5)
         if fine > 1e-12:
             ratios.append(coarse / fine)
     median_ratio = float(np.median(ratios))
-    bound = CHECK_BOUNDS["invariant_equation"]
-    passed = worst_residual <= bound and 3.5 < median_ratio < 4.5
+    passed = worst_share <= 1.0 and 3.5 < median_ratio < 4.5
     emit(
         4,
         passed,
-        f"max residual {worst_residual:.2e} <= {bound:.0e} at h=1e-5, "
-        f"median halving ratio {median_ratio:.2f} (O(h^2))",
+        f"max residual {worst_share:.2f} of its rounding bound with dI/dt in closed form, "
+        f"central-difference halving ratio {median_ratio:.2f} (O(h^2))",
     )
 
 

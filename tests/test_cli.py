@@ -21,6 +21,7 @@ from hologate import (
     analytic_gate,
     bloch_vectors,
     exact_propagator,
+    invariant,
     max_abs,
     params_from_beta,
 )
@@ -147,11 +148,13 @@ def test_verify_checks_take_their_constant_bounds_from_the_table(monkeypatch):
     table = {name: 1000.0 + i for i, name in enumerate(CHECK_BOUNDS)}
     monkeypatch.setattr(cli, "CHECK_BOUNDS", table)
     monkeypatch.setattr(cli, "TRAJECTORY_PHASE_COEFF", 7.0)
+    monkeypatch.setattr(cli, "INVARIANT_ROUNDING_COEFF", 3.0)
     gate = HolonomicGate(0.5)
     p = params_from_beta(gate)
     _, checks = cli.verify_checks(p, 64, analytic_gate(gate))
     bounds = {name: bound for name, (_, bound) in checks.items()}
     assert bounds.pop("trajectory_dynamical_phase") == 7.0 * (p.period / 64) ** 2
+    assert bounds.pop("invariant_equation") == 3.0 * cli.invariant_rounding(p)
     assert set(bounds) <= set(table)
     assert bounds == {name: table[name] for name in bounds}
 
@@ -191,6 +194,39 @@ def test_verify_non_holonomic_drive_fails_by_design(capsys, drive):
     assert values["check_aa_correspondence"] == "pass"
     assert values["check_spectral_agreement"] == "pass"
     assert values["check_spectral_exact"] == "pass"
+
+
+# the residual is rounding alone: 1.6e-13 at (1000, 5) and 1.9e-12 at
+# (1e4, -3); at a subnormal Omega it is thousands of subnormals, and its bound
+# scales with Delta
+@pytest.mark.parametrize("drive", ["1000,5", "10000,-3", "1e-320,0", "1e-316,10000"])
+def test_verify_passes_the_invariant_equation_at_large_and_subnormal_fields(capsys, drive):
+    _, out, _ = run_cli(capsys, "verify", "--drive", drive, "--machine")
+    assert parse_machine(out)["check_invariant_equation"] == "pass"
+
+
+def test_invariant_equation_bound_is_the_table_entry_where_the_model_is_looser():
+    p = DriveParams(1e4, -3.0)
+    assert cli.INVARIANT_ROUNDING_COEFF * cli.invariant_rounding(p) > CHECK_BOUNDS["invariant_equation"]
+    _, checks = cli.verify_checks(p, 16)
+    assert checks["invariant_equation"][1] == CHECK_BOUNDS["invariant_equation"]
+
+
+def test_verify_fails_the_invariant_equation_on_an_invariant_off_by_1e_10(monkeypatch):
+    # the transverse part of I scaled by 1 + 1e-10 reads ~1e-10, where the
+    # residual of the true invariant reads 0 against a bound of 3.3e-15
+    def scaled(p, t):
+        inv = invariant(p, t)
+        inv[0, 1] *= 1 + 1e-10
+        inv[1, 0] *= 1 + 1e-10
+        return inv
+
+    p = DriveParams(1.0, 1.0)
+    value, bound = cli.verify_checks(p, 16)[1]["invariant_equation"]
+    assert value <= bound
+    monkeypatch.setattr(evolution, "invariant", scaled)
+    value, bound = cli.verify_checks(p, 16)[1]["invariant_equation"]
+    assert value > bound
 
 
 @given(b=st.floats(-14.0, -3.0).map(lambda e: 10.0**e), near_half_pi=st.booleans())
@@ -466,6 +502,28 @@ def test_synth_rejects_a_negative_seed_by_name(monkeypatch, capsys):
     assert err == "error: --seed must be >= 0, got -1\n"
 
 
+def test_synth_rejects_a_directory_target_as_a_missing_one(tmp_path, monkeypatch, capsys):
+    # open() raises IsADirectoryError on a directory, an OSError that exits 3
+    # unless the target's resolution catches it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gates").mkdir()
+    for target in ("gates", "missing.txt"):
+        code, out, err = run_cli(capsys, "synth", "--target", target, "--length", "2")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: target {target!r} is neither a standard name (NOT, Hadamard, Phase, T) "
+            "nor a readable matrix file\n"
+        )
+
+
+def test_synth_names_a_matrix_file_that_is_not_utf8(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_bytes(b"\xd0 0\n0 1\n")
+    code, out, err = run_cli(capsys, "synth", "--target", "m.txt", "--length", "2")
+    assert code == 2 and out == ""
+    assert err == "error: m.txt: not UTF-8 text (invalid continuation byte)\n"
+
+
 def test_synth_rejects_unknown_target_name(capsys):
     code, _, err = run_cli(capsys, "synth", "--target", "CNOT", "--length", "2")
     assert code == 2
@@ -739,7 +797,8 @@ ANY_DOUBLE = st.floats() | st.integers(0, 2**64 - 1).map(
 
 @given(values=st.lists(ANY_DOUBLE, min_size=1, max_size=64))
 # the doubles next to 10^-k on both sides, k = 0 .. 5: the ends of the fast
-# path and the decades where log10 may pick the scale one off
+# path, and the decade bounds that _g17 compares with the doubles nearest
+# 10^-3, 10^-2 and 10^-1
 @example(values=[float(np.nextafter(10.0**-k, end)) for k in range(6) for end in (0.0, math.inf)])
 @example(values=[1 - 2**-53, 0.99999999999999999, 1.0, -1.0, 0.0, -0.0, 1e-4, -1e-4])
 # few mantissa bits: 17 digits exactly, trailing zeros, and 18 digits ending
