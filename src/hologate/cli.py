@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import sys
 import time
@@ -77,9 +78,14 @@ TRAJECTORY_CHUNK_SAMPLES = 2**11
 #: 10^4 to 10^5 betas), so the cap bounds the run's time, ~9 s at 2 samples,
 #: not its memory.
 MAX_SWEEP_BETAS = 1_000_000
-#: Largest ``synth --length``. A batch of 128 starts peaks at ~41 kB per pulse
-#: (tracemalloc, lengths 200 to 2,000), so the cap bounds the search at ~0.4 GB.
+#: Largest ``synth --length``. A batch of 128 starts peaks at ~43 kB per pulse
+#: (tracemalloc: 42.7 kB at length 200, 42.5 kB at 2,000), so the cap bounds
+#: the search at ~0.43 GB.
 MAX_SYNTH_LENGTH = 10_000
+#: Most bytes read of a ``synth --target`` matrix file, far above the ~100 B
+#: of a 2x2 matrix: a longer file, or an endless one such as /dev/zero, is
+#: rejected after this many bytes.
+MAX_MATRIX_FILE_BYTES = 64 * 1024
 #: C in the trajectory_dynamical_phase bound C (T / steps)^2. Over 52 beta in
 #: [0.02, 1.55], max |gamma_traj| (steps / T)^2 measured 0.0589 at 16, 10^3,
 #: 10^4, 10^5 and 10^6 steps (0.0589 also on 1001 beta over [0, pi/2]).
@@ -313,9 +319,14 @@ def _cmd_verify(args) -> RunReport:
 
 
 def _parse_matrix_file(path: str) -> np.ndarray:
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_MATRIX_FILE_BYTES + 1)
+    if len(data) > MAX_MATRIX_FILE_BYTES:
+        raise ValueError(f"{path}: longer than {MAX_MATRIX_FILE_BYTES} bytes, too long for a matrix")
     rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # lines split as a file opened in text mode splits them
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -562,12 +573,9 @@ def _g17(values: np.ndarray) -> np.ndarray:
 
 def _text_grid(texts: list[bytes] | tuple[bytes, ...], width: int | None = None) -> np.ndarray:
     """``texts`` in the rows of a NUL-padded uint8 grid of ``width`` columns
-    (the longest text's by default)."""
-    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
-    keep = np.arange(lengths.max() if width is None else width) < lengths[:, None]
-    grid = np.zeros(keep.shape, np.uint8)
-    grid[keep] = np.frombuffer(b"".join(texts), np.uint8)
-    return grid
+    (the longest text's by default). A longer text would be cut to ``width``,
+    so every width passed is the longest its texts can be."""
+    return np.array(texts, dtype=f"S{width or ''}").view(np.uint8).reshape(len(texts), -1)
 
 
 #: The branch field of a beta's rows with its comma: "0" and "1" at every
@@ -650,7 +658,8 @@ def _cmd_trajectory(args) -> RunReport:
                 points = pair_bloch(*_closed_pairs(drives, times))
                 squares = points * points
                 sphere = np.max(np.abs((squares[..., 0] + squares[..., 1]) + squares[..., 2] - 1.0))
-                worst_sphere = max(worst_sphere, float(sphere))
+                # np.maximum keeps a NaN, where max(0.0, nan) would drop it
+                worst_sphere = float(np.maximum(worst_sphere, sphere))
                 lines = grid[: len(chunk), : len(times)]
                 cells = lines[..., _FIELDS:].reshape(lines.shape[:-1] + (3, _CELL))
                 cells[..., 0] = (points < 0.0) * np.uint8(ord("-"))

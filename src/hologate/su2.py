@@ -75,17 +75,6 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> FidelityReport:
     )
 
 
-def _squared_moduli(up, down):
-    """|up|^2 and |down|^2 of the states (up, down), which must be normalized."""
-    # an overflowing entry makes the norm inf, which fails the bound
-    with np.errstate(over="ignore"):
-        p_up, p_down = np.abs(up) ** 2, np.abs(down) ** 2
-    norm_error = np.abs(np.sqrt(p_up + p_down) - 1.0)
-    if not np.all(norm_error <= 1e-10):
-        raise ValueError(f"state must be normalized, |norm - 1| = {np.max(norm_error):.3e}")
-    return p_up, p_down
-
-
 def bloch_vectors(states) -> np.ndarray:
     """Bloch vectors (<sx>, <sy>, <sz>) of a stack of normalized pure states:
     shape (..., 2) in, (..., 3) out."""
@@ -93,7 +82,12 @@ def bloch_vectors(states) -> np.ndarray:
     if s.ndim < 1 or s.shape[-1] != 2:
         raise ValueError("states must be complex 2-vectors along the last axis")
     up, down = s[..., 0], s[..., 1]
-    p_up, p_down = _squared_moduli(up, down)
+    # an overflowing entry makes the norm inf, which fails the bound
+    with np.errstate(over="ignore"):
+        p_up, p_down = np.abs(up) ** 2, np.abs(down) ** 2
+    norm_error = np.abs(np.sqrt(p_up + p_down) - 1.0)
+    if not np.all(norm_error <= 1e-10):
+        raise ValueError(f"state must be normalized, |norm - 1| = {np.max(norm_error):.3e}")
     cross = up.conj() * down
     # + 0.0 turns the negative zeros of exact states into 0, so none prints -0
     return np.stack([2.0 * cross.real, 2.0 * cross.imag, p_up - p_down], axis=-1) + 0.0
@@ -149,13 +143,15 @@ def pair_matrix(a, b) -> np.ndarray:
 def pair_bloch(a, b) -> np.ndarray:
     """Bloch vectors of both columns of ``pair_matrix(a, b)``, (a, -conj(b))
     and (b, conj(a)): shape ``a.shape + (2, 3)``, column k at [..., k, :],
-    bit for bit ``bloch_vectors`` of the columns. The columns share |a|^2,
-    |b|^2 and the norm check, and their Bloch vectors mirror each other:
+    bit for bit ``bloch_vectors`` of the columns. The pairs are not checked
+    for norm: an off-norm pair maps off the unit sphere, by
+    x^2 + y^2 + z^2 = (|a|^2 + |b|^2)^2, for the caller to measure. The
+    columns share |a|^2 and |b|^2, and their Bloch vectors mirror each other:
     z_1 = -z_0 exactly, and x_1 = -x_0 bit for bit, as the real part of a
     complex product changes sign exactly with a factor's and rounds alike
     with its factors swapped. The imaginary part need not (numpy's FMA loops
     fuse one of its products), so y_1 is its own."""
-    p_a, p_b = _squared_moduli(a, b)
+    p_a, p_b = np.abs(a) ** 2, np.abs(b) ** 2
     conj_a, conj_b = a.conj(), b.conj()
     # np.multiply keeps bloch_vectors' left operand, conj(up), at every size
     cross = np.stack((np.multiply(conj_a, -conj_b), np.multiply(conj_b, conj_a)), axis=-1)

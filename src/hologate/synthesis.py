@@ -161,8 +161,6 @@ def noncommutativity_witness(b1: float, b2: float) -> float:
 _CHUNK = 128
 #: Levenberg-Marquardt iterations per batch.
 _MAX_ITERATIONS = 60
-#: Pulses whose J J^T terms are formed at once.
-_BLOCK = 16
 #: Largest |Re b| of a target's unit pair that counts as symmetric (b = -conj(b)).
 _SYMMETRIC_RE_B = 8 * np.finfo(float).eps
 
@@ -258,20 +256,6 @@ def _residual(
     return r, jac, 0.5 * _dot4(r, r)
 
 
-def _normal(jac: np.ndarray) -> np.ndarray:
-    """J J^T per start, shape (4, 4, starts). The terms are summed over the
-    pulses in order, as numpy's einsum sums them, formed _BLOCK pulses at a
-    time so that long sequences hold few of them."""
-    terms = np.empty((min(len(jac), _BLOCK) + 1, 4, 4, jac.shape[-1]))
-    normal = 0.0
-    for first in range(0, len(jac), _BLOCK):
-        rows = jac[first : first + _BLOCK]
-        terms[0] = normal
-        np.multiply(rows[:, :, None], rows[:, None], out=terms[1 : len(rows) + 1])
-        normal = np.add.reduce(terms[: len(rows) + 1], axis=0)
-    return normal
-
-
 def _descend(x: np.ndarray, target_pair: np.ndarray, n: int):
     """Levenberg-Marquardt on every column of ``x`` (coordinates, starts) in
     lockstep, for sequences of n pulses (see ``_residual``).
@@ -292,7 +276,11 @@ def _descend(x: np.ndarray, target_pair: np.ndarray, n: int):
             x, r, jac = x[:, keep], r[:, keep], jac[..., keep]
             infidelity, damping = infidelity[keep], damping[keep]
         # minimum-norm damped Gauss-Newton step -J^T (J J^T + damping I)^-1 r
-        normal = _normal(jac)
+        # J J^T per start, (4, 4, starts), C-contiguous: einsum sums the
+        # terms over the pulses in order, and its loops are compiled for
+        # numpy's baseline only, so they round alike at every dispatch level
+        # (optimize=True could hand the sum to BLAS, which orders it otherwise)
+        normal = np.einsum("kis,kjs->ijs", jac, jac)
         normal.reshape(16, -1)[::5] += damping  # the diagonal
         step = np.linalg.solve(normal.transpose(2, 0, 1), r.T[..., None])[..., 0].T
         trial_x = x - _dot4(jac, step)

@@ -13,6 +13,23 @@ settings.register_profile("default", deadline=None)
 settings.load_profile("default")
 
 
+def pytest_configure(config):
+    """Refuse a run whose PYTHONPATH holds another hologate than the one imported.
+
+    pyproject's pytest ``pythonpath`` puts this checkout's ``src`` before
+    PYTHONPATH, so ``PYTHONPATH=<other>/src pytest`` would test this checkout
+    while seeming to test the other.
+    """
+    imported = Path(hologate.__file__).resolve().parent
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        package = Path(entry, "hologate").resolve()
+        if (package / "__init__.py").is_file() and package != imported:
+            raise pytest.UsageError(
+                f"PYTHONPATH entry {entry!r} holds the hologate package at {package}, "
+                f"but the tests import the one at {imported}"
+            )
+
+
 @pytest.fixture(autouse=True, scope="session")
 def subprocesses_import_this_hologate():
     """Fresh interpreters started by tests import the hologate under test.

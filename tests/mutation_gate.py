@@ -75,8 +75,8 @@ MUTATIONS = [
     (
         "search: the J J^T terms summed over the pulses in reverse",
         "synthesis.py",
-        "rows = jac[first : first + _BLOCK]",
-        "rows = jac[first : first + _BLOCK][::-1]",
+        'np.einsum("kis,kjs->ijs", jac, jac)',
+        'np.einsum("kis,kjs->ijs", jac[::-1], jac[::-1])',
         "tests/test_golden.py::test_output_matches_its_golden_file[synth_Hadamard_7]",
     ),
     (
@@ -502,6 +502,20 @@ MUTATIONS = [
         "bounding = betas[[0, -1]]",
         "bounding = betas[[0]]",
         "tests/test_cli.py::test_trajectory_sweep_past_pi_half_at_either_end_writes_no_file[0.3:1.6:3]",
+    ),
+    (
+        "trajectory: the sphere deviation accumulated by max(), which drops a NaN",
+        "cli.py",
+        "worst_sphere = float(np.maximum(worst_sphere, sphere))",
+        "worst_sphere = max(worst_sphere, float(sphere))",
+        "tests/test_cli.py::test_trajectory_fails_on_sphere_for_off_norm_or_nan_pairs[nan]",
+    ),
+    (
+        "text grid: the width ignored, so each grid is as wide as its longest text",
+        "cli.py",
+        '''dtype=f"S{width or ''}"''',
+        '''dtype="S"''',
+        "tests/test_golden.py::test_output_matches_its_golden_file[trajectory_small]",
     ),
     (
         "pairs: pair_bloch's conj(a) (-conj(b)) by the * operator, which numpy may swap in place",

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -524,6 +525,57 @@ def test_synth_names_a_matrix_file_that_is_not_utf8(tmp_path, monkeypatch, capsy
     assert err == "error: m.txt: not UTF-8 text (invalid continuation byte)\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1 0 0\n0 1\n", "1 0\n0 1\n0 0\n", "1 0\n", "# nothing\n"],
+    ids=["three_entries", "three_lines", "one_line", "empty"],
+)
+def test_synth_rejects_a_matrix_file_that_is_not_2x2(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_text(text)
+    code, out, err = run_cli(capsys, "synth", "--target", "m.txt", "--length", "2")
+    assert code == 2 and out == ""
+    assert err == "error: m.txt: expected a 2x2 matrix (two lines of two complex entries)\n"
+
+
+def test_synth_reads_a_matrix_file_up_to_the_cap_and_rejects_a_longer_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    matrix = b"1 0\n0 1\n#"
+    (tmp_path / "m.txt").write_bytes(matrix.ljust(cli.MAX_MATRIX_FILE_BYTES, b"x"))
+    code, out, _ = run_cli(capsys, "synth", "--target", "m.txt", "--length", "1", "--machine")
+    assert code == 0 and parse_machine(out)["converged"] == "true"
+    (tmp_path / "m.txt").write_bytes(matrix.ljust(cli.MAX_MATRIX_FILE_BYTES + 1, b"x"))
+    code, out, err = run_cli(capsys, "synth", "--target", "m.txt", "--length", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: m.txt: longer than {cli.MAX_MATRIX_FILE_BYTES} bytes, too long for a matrix\n"
+
+
+def test_synth_rejects_an_endless_target_file_in_bounded_memory():
+    # /dev/zero has no end and no newline: read line by line it grows one line
+    # until memory runs out. The address-space limit keeps a run that reads
+    # it so from taking the host's memory: it exits 4 with a MemoryError.
+    resource = pytest.importorskip("resource")
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    limit = 512 * 2**20
+
+    def bound_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "hologate.cli", "synth", "--target", "/dev/zero", "--length", "1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        preexec_fn=bound_memory,
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (
+        f"error: /dev/zero: longer than {cli.MAX_MATRIX_FILE_BYTES} bytes, too long for a matrix\n"
+    )
+
+
 def test_synth_rejects_unknown_target_name(capsys):
     code, _, err = run_cli(capsys, "synth", "--target", "CNOT", "--length", "2")
     assert code == 2
@@ -672,8 +724,9 @@ def test_trajectory_rejects_non_finite_sweep_ends(tmp_path, capsys, spec):
         ("0.1,b", "--beta entry must be a number, got 'b'"),
         ("0:1", "--beta sweep spec must be 'start:stop:count'"),
         ("0:1:0", "--beta sweep count must be >= 1, got 0"),
+        (",", "no beta values given"),
     ],
-    ids=["start", "stop", "entry", "spec", "count"],
+    ids=["start", "stop", "entry", "spec", "count", "empty"],
 )
 def test_trajectory_names_a_malformed_beta(tmp_path, capsys, spec, message):
     code, out, err = run_cli(capsys, "trajectory", "--beta", spec, "--out", str(tmp_path / "x.csv"))
@@ -858,6 +911,27 @@ def test_trajectory_memory_does_not_grow_with_the_samples(tmp_path, capsys):
             tracemalloc.stop()
     capsys.readouterr()
     assert peaks[1] <= peaks[0] + 256 * 1024
+
+
+@pytest.mark.parametrize(
+    "fault, deviation",
+    [(lambda x: x * (1 + 1e-9), "4.0000"), (lambda x: x * np.nan, "nan")],
+    ids=["off_norm", "nan"],
+)
+def test_trajectory_fails_on_sphere_for_off_norm_or_nan_pairs(tmp_path, monkeypatch, capsys, fault, deviation):
+    # a fault in the closed form is a failed check, not a usage error: pairs
+    # off the norm by 1e-9 map to x^2 + y^2 + z^2 = (1 + 1e-9)^4, and a NaN
+    # must not be dropped on its way to the check
+    closed_pairs = cli._closed_pairs
+    monkeypatch.setattr(cli, "_closed_pairs", lambda *args: tuple(map(fault, closed_pairs(*args))))
+    code, out, err = run_cli(
+        capsys, "trajectory", "--beta", "0.3,0.9", "--samples", "5",
+        "--out", str(tmp_path / "t.csv"), "--machine",
+    )
+    assert code == 1 and err == ""
+    values = parse_machine(out)
+    assert values["check_on_sphere"] == "fail"
+    assert values["max_sphere_deviation"].startswith(deviation)
 
 
 def test_trajectory_unwritable_path_is_io_error(tmp_path, capsys):

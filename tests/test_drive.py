@@ -70,6 +70,12 @@ def test_holonomic_gate_rejects_out_of_range_beta(beta):
         HolonomicGate(beta)
 
 
+@pytest.mark.parametrize("omega_drive", [0.0, -1.0, math.nan])
+def test_holonomic_gate_rejects_a_non_positive_drive_frequency(omega_drive):
+    with pytest.raises(ValueError, match="omega_drive must be > 0"):
+        HolonomicGate(0.3, omega_drive)
+
+
 # --- hamiltonian and invariant ------------------------------------------------
 
 

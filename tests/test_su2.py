@@ -63,6 +63,17 @@ def test_su2_exp_rejects_zero_axis():
         su2_exp(1.0, (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("axis", [(0.0, 1.0), (1.0, 0.0, 0.0, 0.0), [[0.0, 0.0, 1.0]]], ids=["2", "4", "1x3"])
+def test_su2_exp_rejects_an_axis_that_is_not_a_3_vector(axis):
+    with pytest.raises(ValueError, match="axis must be a real 3-vector"):
+        su2_exp(1.0, axis)
+
+
+@pytest.mark.parametrize("u", [np.eye(3), np.eye(1), np.eye(2)[None], np.ones(2)], ids=["3x3", "1x1", "1x2x2", "2"])
+def test_is_unitary_is_false_for_a_matrix_that_is_not_2x2(u):
+    assert is_unitary(u) is False
+
+
 @given(angle=angles, nx=components, ny=components, nz=components)
 def test_su2_exp_inverse_and_spectrum(angle, nx, ny, nz):
     axis = np.array([nx, ny, nz])

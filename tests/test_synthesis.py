@@ -266,6 +266,12 @@ def test_synthesize_rejects_non_positive_restarts(restarts):
         synthesize(standard_target("NOT"), 2, restarts)
 
 
+@pytest.mark.parametrize("betas", [(), []])
+def test_refine_rejects_no_betas(betas):
+    with pytest.raises(ValueError, match="betas must be a nonempty 1-d sequence"):
+        refine(standard_target("NOT"), betas)
+
+
 # --- search internals ----------------------------------------------------------------
 
 
