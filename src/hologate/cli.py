@@ -481,9 +481,9 @@ def _g17_tables():
     that importing the CLI builds none of them:
     - ``digits[d]``: the 4 ASCII digits of d < 10^4, as the bytes of a uint32;
     - ``zeros[d]``: the trailing zeros of those 4 digits (4 for 0000);
-    - ``heads[10 h + lead]``: a field's first 8 bytes, as a uint64: head
-      h = 4 sign + k ("0.", "0.0", ... "-0.000", with k zeros after the
-      point), NUL-padded, then the lead digit;
+    - ``heads[10 k + lead]``: a field's first 8 bytes, as a uint64: the head
+      "0.", "0.0", ... "0.000", with k zeros after the point, NUL-padded,
+      then the lead digit;
     - ``tails[:, z]``: the mask, as 2 uint64, that clears the last z of the
       16 digit bytes after the lead;
     - the scales 10^(16 - E) for the decades E = -4 .. -1 (exact doubles).
@@ -492,16 +492,16 @@ def _g17_tables():
     quads = np.stack((d // 1000, d // 100 % 10, d // 10 % 10, d % 10), axis=1) + ord("0")
     digits = quads.astype(np.uint8).view(np.uint32).ravel()
     zeros = (d % 10 == 0).astype(np.uint8) + (d % 100 == 0) + (d % 1000 == 0) + (d == 0)
-    heads = np.zeros((8, 10, 8), np.uint8)
-    for h in range(8):
-        head = np.frombuffer(b"-" * (h // 4) + b"0." + b"0" * (h % 4), np.uint8)
-        heads[h, :, : head.size] = head
+    heads = np.zeros((4, 10, 8), np.uint8)
+    for k in range(4):
+        head = np.frombuffer(b"0." + b"0" * k, np.uint8)
+        heads[k, :, : head.size] = head
     heads[..., 7] = ord("0") + np.arange(10)
     tails = np.where(np.arange(16) < np.arange(16, -1, -1)[:, None], 0xFF, 0).astype(np.uint8)
     return (
         digits,
         zeros,
-        heads.reshape(80, 8).view(np.uint64).ravel(),
+        heads.reshape(40, 8).view(np.uint64).ravel(),
         tails.view(np.uint64).T.copy(),
         np.array([1e20, 1e19, 1e18, 1e17]),
     )
@@ -512,18 +512,17 @@ def _g17(values: np.ndarray) -> np.ndarray:
     of a NUL-padded (len(values), ``_G17_WIDTH``) uint8 grid: row i without
     its NUL bytes is the text of ``values[i]``.
 
-    Every v with 1e-4 <= |v| < 1 is written from integer digits: ``%.17g``
-    writes it as "0." and its 17 significant digits, correctly rounded, ties
-    to even, with trailing zeros stripped. Every other v (0, |v| >= 1,
-    |v| < 1e-4, non-finite) takes Python's ``%``. Only comparisons, IEEE
-    multiply, add, subtract, ``rint``, exact casts and integer arithmetic
-    reach the digits, so they do not depend on how numpy dispatches its
-    loops.
+    Every v in [1e-4, 1), as the magnitudes of most trajectory fields are,
+    is written from integer digits: ``%.17g`` writes it as "0." and its 17
+    significant digits, correctly rounded, ties to even, with trailing zeros
+    stripped. Every other value (negative, 0, v >= 1, v < 1e-4, non-finite)
+    takes Python's ``%``. Only comparisons, IEEE multiply, add, subtract,
+    ``rint``, exact casts and integer arithmetic reach the digits, so they do
+    not depend on how numpy dispatches its loops.
     """
     digits, zeros, heads, tails, scales = _g17_tables()
-    a = np.abs(values)
-    fast = (a >= 1e-4) & (a < 1.0)  # NaN fails both
-    a = np.where(fast, a, 0.5)
+    fast = (values >= 1e-4) & (values < 1.0)  # NaN fails both
+    a = np.where(fast, values, 0.5)
     # the decade E = floor(log10 a) as E + 4, 0 to 3, from the doubles
     # nearest 10^-3, 10^-2 and 10^-1. Each lies above its power of ten, as
     # 1e-4 does, and no double lies between the two, so E is exact.
@@ -558,8 +557,8 @@ def _g17(values: np.ndarray) -> np.ndarray:
     )
     text = np.empty((values.size, _G17_WIDTH), np.uint8)
     words = text.view(np.uint64)
-    # the sign, then -1 - E zeros after "0.", then the lead digit
-    words[:, 0] = heads.take(40 * (values < 0) + 10 * (3 - e) + lead)
+    # -1 - E zeros after "0.", then the lead digit
+    words[:, 0] = heads.take(10 * (3 - e) + lead)
     groups = text.view(np.uint32)  # bytes 8 to 23: the groups g1 .. g4
     groups[:, 2], groups[:, 3] = digits.take(g1), digits.take(g2)
     groups[:, 4], groups[:, 5] = digits.take(g3), digits.take(g4)

@@ -100,17 +100,14 @@ class InvariantEigensystem:
     """Eigenvalues +-lam of the invariant and its eigenvectors at one time.
 
     The eigenvectors are stored in the fixed gauge
-    (exp(-i w t) cos(theta), sin(theta)) with sin(theta) >= 0; the angles are
-    kept as (cos, sin) pairs so no inverse-trig branch choice is ever made.
+    (exp(-i w t) cos(theta), sin(theta)) with sin(theta) >= 0, so at t = 0
+    their entries are exactly (cos(theta), sin(theta)); the angle itself is
+    never formed, so no inverse-trig branch choice is ever made.
     At Omega = 0 with Delta < w the -lam eigenvector is (-1, 0): sin(theta) = 0
     leaves the sign of cos(theta) to the gauge, and no phase or verdict reads it.
     """
 
     lam: float
-    cos_theta_plus: float
-    sin_theta_plus: float
-    cos_theta_minus: float
-    sin_theta_minus: float
     eigvec_plus: np.ndarray
     eigvec_minus: np.ndarray
 
@@ -163,10 +160,6 @@ def eigensystem(p: DriveParams, t: float) -> InvariantEigensystem:
     phase = np.exp(-1j * p.omega_drive * t)
     return InvariantEigensystem(
         lam=lam,
-        cos_theta_plus=cp,
-        sin_theta_plus=sp,
-        cos_theta_minus=cm,
-        sin_theta_minus=sm,
         eigvec_plus=np.array([phase * cp, sp], dtype=complex),
         eigvec_minus=np.array([phase * cm, sm], dtype=complex),
     )

@@ -189,7 +189,7 @@ def _level_sizes(rows: int, width: int, scalar_a: bool) -> tuple[int, int]:
     return rows * (2 * first + (0 if scalar_a else width // 2)), rows * (2 * second + first // 2)
 
 
-def _pair_level(a, b: np.ndarray, out: np.ndarray | None, calls: list):
+def _pair_level(a, b: np.ndarray, out: np.ndarray, calls: list):
     """Append to ``calls`` the calls that write one level of the pair tree
     along the last axis, and return the level (a, b) they write: pair j of
     the level is pair 2j + 1 times pair 2j by the formula of ``pair_mul``,
@@ -201,9 +201,7 @@ def _pair_level(a, b: np.ndarray, out: np.ndarray | None, calls: list):
 
     The level is written contiguously into the 1-D buffer ``out``, its a
     before its b and its temporary right behind them; ``out`` may not overlap
-    the pairs read. Without a buffer the level and its temporary are new
-    arrays, which costs less than making views for the few pairs of a final
-    tree.
+    the pairs read.
 
     ``a`` is an array shaped like ``b``, or one complex number shared by
     every pair, as on the first level over ``_step_factors``' rows: then
@@ -213,18 +211,12 @@ def _pair_level(a, b: np.ndarray, out: np.ndarray | None, calls: list):
     lead, width = b.shape[:-1], b.shape[-1]
     n = width // 2
     shape, t_shape = (2,) + lead + (width - n,), lead + (n,)
-    if out is None:
-        level = np.empty(shape, dtype=complex)
-    else:
-        level = out[: math.prod(shape)].reshape(shape)
+    level = out[: math.prod(shape)].reshape(shape)
     la, lb = level[0], level[1]
     pa, pb = (la[..., :n], lb[..., :n]) if width % 2 else (la, lb)
     b1, b0 = b[..., 1::2], b[..., : 2 * n : 2]
     if isinstance(a, np.ndarray):
-        if out is None:
-            t = np.empty(t_shape, dtype=complex)
-        else:
-            t = out[level.size : level.size + math.prod(t_shape)].reshape(t_shape)
+        t = out[level.size : level.size + math.prod(t_shape)].reshape(t_shape)
         calls.append((_array_level, (a[..., 1::2], b1, a[..., : 2 * n : 2], b0, pa, pb, t)))
         carry = a[..., -1]
     else:
@@ -274,11 +266,11 @@ def _carry(la, lb, n, a, b) -> None:
     lb[..., n] = b
 
 
-def _tree_levels(a, b: np.ndarray, stop: int, first=None, second=None):
+def _tree_levels(a, b: np.ndarray, stop: int, first: np.ndarray, second: np.ndarray):
     """Plan the reduction of the pairs (a, b) along the last axis by
     ``_pair_level`` until at most ``stop`` pairs per row remain, the odd
     levels written into the 1-D buffer ``first`` and the even ones into
-    ``second`` (see ``_level_sizes``), or into new arrays without buffers.
+    ``second``, each sized by ``_level_sizes``.
     Returns (plan, level): the calls of every level in order, for ``_run``,
     and the views of the last level, which is (a, b) with an empty plan when
     ``stop`` is already met. ``second`` may hold the pairs (a, b) themselves,
@@ -311,8 +303,13 @@ def _pair_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     rounding is relative to magnitude, so norms of 1 +- N eps inside the tree
     cannot move the rotation: the root alone is divided by
     sqrt(|a|^2 + |b|^2).
+
+    The tree is planned on every call, into two new level buffers sized by
+    ``_level_sizes``: the final tree runs once per product, so there is no
+    plan to reuse.
     """
-    plan, (a, b) = _tree_levels(a, b, 1)
+    first, second = _level_sizes(math.prod(b.shape[:-1]), b.shape[-1], scalar_a=False)
+    plan, (a, b) = _tree_levels(a, b, 1, np.empty(first, dtype=complex), np.empty(second, dtype=complex))
     _run(plan)
     return pair_unit(a[..., 0], b[..., 0])
 
@@ -539,11 +536,13 @@ def _node_integrands(p: DriveParams, ts: np.ndarray):
 
     With the eigenvector (v0, s) = (exp(-i w t) cos(theta), sin(theta)), the
     geometric integrand i<phi|dphi/dt> is w |v0|^2 (only the exp(-i w t)
-    factor moves) and the dynamical one is ``_energy`` of (v0, s).
+    factor moves) and the dynamical one is ``_energy`` of (v0, s). The
+    eigenvectors of ``eigensystem`` at t = 0 are real in that gauge, their
+    entries exactly (cos(theta), sin(theta)).
     """
     es = eigensystem(p, 0.0)
     phase = np.exp(-1j * p.omega_drive * ts)
-    for c, s in ((es.cos_theta_plus, es.sin_theta_plus), (es.cos_theta_minus, es.sin_theta_minus)):
+    for c, s in (es.eigvec_plus.real, es.eigvec_minus.real):
         v0 = phase * c
         yield p.omega_drive * np.abs(v0) ** 2, _energy(p, ts, v0, s)
 

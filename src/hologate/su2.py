@@ -93,15 +93,15 @@ def bloch_vectors(states) -> np.ndarray:
     return np.stack([2.0 * cross.real, 2.0 * cross.imag, p_up - p_down], axis=-1) + 0.0
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """Check u† u = I entrywise within ``tol``."""
+def is_unitary(u: np.ndarray) -> bool:
+    """Check u† u = I entrywise within ``UNITARY_TOL``."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
     # an overflowing entry makes the defect inf or NaN, which fails the bound
     with np.errstate(over="ignore", invalid="ignore"):
         defect = u.conj().T @ u - _I2
-    return float(np.max(np.abs(defect))) <= tol
+    return float(np.max(np.abs(defect))) <= UNITARY_TOL
 
 
 def max_abs(m) -> float:

@@ -200,6 +200,13 @@ MUTATIONS = [
         "tests/test_evolution.py::test_buffered_tree_levels_equal_fresh_ones_bit_for_bit",
     ),
     (
+        "tree: the final tree's buffers sized for one scalar a, leaving no room for the temporaries",
+        "evolution.py",
+        "_level_sizes(math.prod(b.shape[:-1]), b.shape[-1], scalar_a=False)",
+        "_level_sizes(math.prod(b.shape[:-1]), b.shape[-1], scalar_a=True)",
+        "tests/test_evolution.py::test_pair_product_matches_sequential_matrix_product",
+    ),
+    (
         "rows: the root division dropped",
         "evolution.py",
         "roots.append(pair_unit(la[..., 0], lb[..., 0]))",
@@ -291,6 +298,13 @@ MUTATIONS = [
         "2.0 * (psi0.conj() * h01 * psi1).real",
         "2.0 * (psi0 * h01 * psi1).real",
         "tests/test_acceptance.py::test_criterion_3_holonomy_verification",
+    ),
+    (
+        "quadrature: the plus eigenvector read for both branches",
+        "evolution.py",
+        "for c, s in (es.eigvec_plus.real, es.eigvec_minus.real):",
+        "for c, s in (es.eigvec_plus.real, es.eigvec_plus.real):",
+        "tests/test_evolution.py::test_node_integrands_match_expectations_from_the_matrices",
     ),
     (
         "pairs: pair_mul's operands swapped",
@@ -548,9 +562,16 @@ MUTATIONS = [
     (
         "g17: +-1 kept on the fast path",
         "cli.py",
-        "fast = (a >= 1e-4) & (a < 1.0)",
-        "fast = (a >= 1e-4) & (a <= 1.0)",
+        "fast = (values >= 1e-4) & (values < 1.0)",
+        "fast = (values >= 1e-4) & (values <= 1.0)",
         "tests/test_acceptance.py::test_criterion_9_trajectory_sanity",
+    ),
+    (
+        "g17: the fast path's mask taken on the magnitudes, so negatives take the unsigned heads",
+        "cli.py",
+        "fast = (values >= 1e-4) & (values < 1.0)",
+        "fast = (np.abs(values) >= 1e-4) & (np.abs(values) < 1.0)",
+        "tests/test_cli.py::test_g17_writes_every_double_as_percent_17g",
     ),
 ]
 

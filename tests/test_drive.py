@@ -130,10 +130,10 @@ def test_eigensystem_symmetric_point():
     assert es.lam == pytest.approx(1.0, abs=1e-15)
     assert max_abs(es.eigvec_plus - np.array([1, 1]) / np.sqrt(2)) < 1e-15
     assert max_abs(invariant(p, 0.0) @ es.eigvec_plus - es.lam * es.eigvec_plus) < 1e-12
-    # theta_+ = pi/4 and theta_- = 3 pi/4, as (cos, sin) pairs
+    # theta_+ = pi/4 and theta_- = 3 pi/4: at t = 0 the entries are (cos, sin)
     r = math.sqrt(0.5)
-    assert (es.cos_theta_plus, es.sin_theta_plus) == pytest.approx((r, r), abs=1e-15)
-    assert (es.cos_theta_minus, es.sin_theta_minus) == pytest.approx((-r, r), abs=1e-15)
+    assert es.eigvec_plus.tolist() == pytest.approx([r, r], abs=1e-15)
+    assert es.eigvec_minus.tolist() == pytest.approx([-r, r], abs=1e-15)
 
 
 def test_eigensystem_rabi_free_is_axis_basis():
@@ -181,7 +181,9 @@ def test_eigensystem_satisfies_eigen_equation():
         assert abs(np.vdot(es.eigvec_plus, es.eigvec_minus)) < 1e-12
         assert abs(np.linalg.norm(es.eigvec_plus) - 1.0) < 1e-12
         assert abs(np.linalg.norm(es.eigvec_minus) - 1.0) < 1e-12
-        assert es.sin_theta_plus >= 0.0 and es.sin_theta_minus >= 0.0
+        # the gauge: sin(theta) >= 0 is the real lower entry
+        for v in (es.eigvec_plus, es.eigvec_minus):
+            assert v[1].imag == 0.0 and v[1].real >= 0.0
 
 
 @given(p=any_drive(), t=st.floats(0.0, 10.0))
@@ -192,7 +194,8 @@ def test_eigensystem_is_an_orthonormal_eigenbasis_over_the_whole_domain(p, t):
     es = eigensystem(p, t)
     inv = invariant(p, t)
     assert np.all(np.isfinite(es.eigvec_plus)) and np.all(np.isfinite(es.eigvec_minus))
-    assert es.sin_theta_plus >= 0.0 and es.sin_theta_minus >= 0.0
+    for v in (es.eigvec_plus, es.eigvec_minus):  # the gauge: sin(theta) >= 0
+        assert v[1].imag == 0.0 and v[1].real >= 0.0
     assert abs(np.linalg.norm(es.eigvec_plus) - 1.0) <= 4 * EPS
     assert abs(np.linalg.norm(es.eigvec_minus) - 1.0) <= 4 * EPS
     assert abs(np.vdot(es.eigvec_plus, es.eigvec_minus)) <= 4 * EPS

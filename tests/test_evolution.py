@@ -179,16 +179,17 @@ def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a
     # _row_products plans the tree of a row count once in two level
     # buffers, the second of which holds the group's b, with each level's
     # temporary behind the level, and runs the plan for every group of that
-    # count; the final tree makes new arrays. Each group here brings new pairs
-    # into the planned inputs, and the reference reduces copies of them, so a
-    # level or temporary written over an input or over a level still being
-    # read cannot pass. The buffers are NaN again before every group, so
-    # neither can a slot left unwritten, nor a planned call that holds a
-    # value of an earlier group.
+    # count. Each group here brings new pairs into the planned inputs, and the
+    # reference reduces copies of them in a tree planned anew, into fresh
+    # NaN-filled buffers, as _pair_product plans its final tree; so a level
+    # or temporary written over an input or over a level still being read
+    # cannot pass. The buffers are NaN again before every group, so neither
+    # can a slot left unwritten, nor a planned call that holds a value of an
+    # earlier group.
     rng = np.random.default_rng(seed)
-    first, second = evolution._level_sizes(rows, width, scalar_a)
-    first = np.empty(first, dtype=complex)
-    second = np.empty(max(second, rows * width), dtype=complex)
+    sizes = evolution._level_sizes(rows, width, scalar_a)
+    first = np.empty(sizes[0], dtype=complex)
+    second = np.empty(max(sizes[1], rows * width), dtype=complex)
     if scalar_a:  # one a for every pair, as on the rows of _step_factors
         a = complex(unit_pairs(rng, ())[0])
         b = second[: rows * width].reshape(rows, width)  # the group's b, as in _row_products
@@ -204,7 +205,10 @@ def test_buffered_tree_levels_equal_fresh_ones_bit_for_bit(rows, width, scalar_a
         else:
             a[...] = new_a
         b[...] = new_b
-        want_plan, (want_a, want_b) = evolution._tree_levels(a if scalar_a else new_a.copy(), new_b.copy(), stop)
+        fresh = [np.full(size, np.nan, dtype=complex) for size in sizes]
+        want_plan, (want_a, want_b) = evolution._tree_levels(
+            a if scalar_a else new_a.copy(), new_b.copy(), stop, *fresh
+        )
         evolution._run(want_plan)
         if plan is None:  # planned once, before the first group's pairs are reduced
             plan, (got_a, got_b) = evolution._tree_levels(a, b, stop, first, second)
