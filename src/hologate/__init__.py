@@ -12,7 +12,6 @@ from .drive import (
     HolonomicGate,
     InvariantEigensystem,
     analytic_gate,
-    dynamical_integrand,
     eigensystem,
     hamiltonian,
     holonomy_residual,
@@ -32,12 +31,9 @@ from .evolution import (
 )
 from .su2 import (
     FidelityReport,
-    bloch_vectors,
     fidelity,
     is_unitary,
     max_abs,
-    pauli,
-    su2_exp,
 )
 from .synthesis import (
     CatalogEntry,
@@ -46,7 +42,6 @@ from .synthesis import (
     TargetGate,
     catalog,
     compose,
-    noncommutativity_witness,
     refine,
     standard_target,
     synthesize,
@@ -68,10 +63,8 @@ __all__ = [
     "TargetGate",
     "aa_eigenphases",
     "analytic_gate",
-    "bloch_vectors",
     "catalog",
     "compose",
-    "dynamical_integrand",
     "eigensystem",
     "exact_propagator",
     "fidelity",
@@ -83,12 +76,9 @@ __all__ = [
     "is_unitary",
     "lr_phase",
     "max_abs",
-    "noncommutativity_witness",
     "params_from_beta",
-    "pauli",
     "propagate",
     "refine",
     "standard_target",
-    "su2_exp",
     "synthesize",
 ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .su2 import su2_exp
+from .su2 import pair_matrix
 
 _HALF_PI = math.pi / 2
 
@@ -192,23 +192,30 @@ def params_from_beta(g: HolonomicGate) -> DriveParams:
     return p
 
 
+def gate_pair(beta) -> np.ndarray:
+    """U(beta)'s Cayley-Klein pair (a, b) = (-cos(pi s) - i s sin(pi s),
+    i c sin(pi s)), with s = sin(beta) and c = cos(beta), and its
+    beta-derivative (da, db), for a scalar or an array beta: rows a, b, da,
+    db of shape (4,) + shape(beta). The real parts of b and db are 0."""
+    beta = np.asarray(beta, dtype=float)
+    s, c = np.sin(beta), np.cos(beta)
+    pi_s, pi_c = math.pi * s, math.pi * c
+    sp, cp = np.sin(pi_s), np.cos(pi_s)
+    s_sp = s * sp
+    g = np.zeros((4,) + beta.shape, complex)
+    # g[k, ...] is a view of row k even when beta is a scalar
+    a, b, da, db = (g[k, ...] for k in range(4))
+    np.negative(cp, out=a.real)
+    np.negative(s_sp, out=a.imag)
+    np.multiply(c, sp, out=b.imag)
+    np.multiply(pi_c, sp, out=da.real)
+    np.multiply(-c, sp + pi_s * cp, out=da.imag)
+    np.subtract(pi_c * c * cp, s_sp, out=db.imag)
+    return g
+
+
 def analytic_gate(g: HolonomicGate) -> np.ndarray:
     """Closed-form one-period holonomic gate
     -exp(i pi sin(beta) [-cos(beta) sx + sin(beta) sz]); unitary, det = 1."""
-    s = math.sin(g.beta)
-    c = math.cos(g.beta)
-    return -su2_exp(math.pi * s, (-c, 0.0, s))
-
-
-def dynamical_integrand(p: DriveParams, t: float, branch: str) -> float:
-    """Energy expectation <phi_branch(t)| H(t) |phi_branch(t)> (branch "+"
-    or "-"). Vanishes identically for every t exactly on the holonomic
-    family."""
-    es = eigensystem(p, t)
-    if branch == "+":
-        v = es.eigvec_plus
-    elif branch == "-":
-        v = es.eigvec_minus
-    else:
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    return float(np.real(v.conj() @ hamiltonian(p, t) @ v))
+    a, b = gate_pair(g.beta)[:2]
+    return pair_matrix(a, b)

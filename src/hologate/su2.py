@@ -1,6 +1,7 @@
-"""2x2 complex matrix toolbox: Pauli algebra, SU(2) exponentials, trace-overlap
-fidelity, pure-state Bloch vectors, and the one gate product that the integrator
-and the search share: SU(2) elements [[a, b], [-conj(b), conj(a)]] as pairs (a, b).
+"""2x2 complex matrix toolbox: trace-overlap fidelity, unitarity, and the one
+gate product that the integrator and the search share: SU(2) elements
+[[a, b], [-conj(b), conj(a)]] as pairs (a, b), with their matrices and the
+Bloch vectors of their columns.
 
 Everything here is exact small-matrix arithmetic in double precision; there is
 deliberately no general-n machinery.
@@ -16,11 +17,6 @@ import numpy as np
 UNITARY_TOL = 1e-12
 
 _I2 = np.eye(2, dtype=complex)
-_SIGMA = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -37,31 +33,6 @@ class FidelityReport:
     relative_phase: float
 
 
-def pauli(axis: str) -> np.ndarray:
-    """Return the Pauli matrix along ``axis`` ("x", "y" or "z")."""
-    try:
-        return _SIGMA[axis].copy()
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-
-
-def su2_exp(angle: float, axis) -> np.ndarray:
-    """Evaluate exp(i * angle * n.sigma) = cos(angle) I + i sin(angle) n.sigma.
-
-    ``axis`` is normalized internally; a zero-norm axis is rejected. The
-    result is unitary with det = 1 for any real angle.
-    """
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("axis must be a real 3-vector")
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
-        raise ValueError("axis must have nonzero norm")
-    n = n / norm
-    n_dot_sigma = n[0] * _SIGMA["x"] + n[1] * _SIGMA["y"] + n[2] * _SIGMA["z"]
-    return np.cos(angle) * _I2 + 1j * np.sin(angle) * n_dot_sigma
-
-
 def fidelity(u: np.ndarray, v: np.ndarray) -> FidelityReport:
     """Gate fidelity of ``u`` against the ideal ``v``, normalized so that
     identical gates score 1 (the one-qubit trace normalization is 2)."""
@@ -73,24 +44,6 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> FidelityReport:
         phase_sensitive=tr.real,
         relative_phase=float(np.angle(tr)),
     )
-
-
-def bloch_vectors(states) -> np.ndarray:
-    """Bloch vectors (<sx>, <sy>, <sz>) of a stack of normalized pure states:
-    shape (..., 2) in, (..., 3) out."""
-    s = np.asarray(states, dtype=complex)
-    if s.ndim < 1 or s.shape[-1] != 2:
-        raise ValueError("states must be complex 2-vectors along the last axis")
-    up, down = s[..., 0], s[..., 1]
-    # an overflowing entry makes the norm inf, which fails the bound
-    with np.errstate(over="ignore"):
-        p_up, p_down = np.abs(up) ** 2, np.abs(down) ** 2
-    norm_error = np.abs(np.sqrt(p_up + p_down) - 1.0)
-    if not np.all(norm_error <= 1e-10):
-        raise ValueError(f"state must be normalized, |norm - 1| = {np.max(norm_error):.3e}")
-    cross = up.conj() * down
-    # + 0.0 turns the negative zeros of exact states into 0, so none prints -0
-    return np.stack([2.0 * cross.real, 2.0 * cross.imag, p_up - p_down], axis=-1) + 0.0
 
 
 def is_unitary(u: np.ndarray) -> bool:
@@ -143,7 +96,8 @@ def pair_matrix(a, b) -> np.ndarray:
 def pair_bloch(a, b) -> np.ndarray:
     """Bloch vectors of both columns of ``pair_matrix(a, b)``, (a, -conj(b))
     and (b, conj(a)): shape ``a.shape + (2, 3)``, column k at [..., k, :],
-    bit for bit ``bloch_vectors`` of the columns. The pairs are not checked
+    bit for bit the test oracle ``bloch_vectors`` (``tests/oracles.py``) of
+    the columns, (2 conj(up) down, |up|^2 - |down|^2). The pairs are not checked
     for norm: an off-norm pair maps off the unit sphere, by
     x^2 + y^2 + z^2 = (|a|^2 + |b|^2)^2, for the caller to measure. The
     columns share |a|^2 and |b|^2, and their Bloch vectors mirror each other:
@@ -153,7 +107,7 @@ def pair_bloch(a, b) -> np.ndarray:
     fuse one of its products), so y_1 is its own."""
     p_a, p_b = np.abs(a) ** 2, np.abs(b) ** 2
     conj_a, conj_b = a.conj(), b.conj()
-    # np.multiply keeps bloch_vectors' left operand, conj(up), at every size
+    # np.multiply keeps the oracle's left operand, conj(up), at every size
     cross = np.stack((np.multiply(conj_a, -conj_b), np.multiply(conj_b, conj_a)), axis=-1)
     z = np.stack((p_a - p_b, p_b - p_a), axis=-1)
     return np.stack([2.0 * cross.real, 2.0 * cross.imag, z], axis=-1) + 0.0

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .drive import HolonomicGate, analytic_gate
-from .su2 import UNITARY_TOL, FidelityReport, fidelity, is_unitary, max_abs, pair_mul, pair_of
+from .drive import HolonomicGate, analytic_gate, gate_pair
+from .su2 import UNITARY_TOL, FidelityReport, fidelity, is_unitary, pair_mul, pair_of
 
 _HALF_PI = math.pi / 2
 _I2 = np.eye(2, dtype=complex)
@@ -144,14 +144,6 @@ def catalog() -> list[CatalogEntry]:
     ]
 
 
-def noncommutativity_witness(b1: float, b2: float) -> float:
-    """Max-norm of the commutator of two holonomic gates; positive for generic
-    pairs, which is what makes the family universal under composition."""
-    u1 = analytic_gate(HolonomicGate(b1))
-    u2 = analytic_gate(HolonomicGate(b2))
-    return max_abs(u1 @ u2 - u2 @ u1)
-
-
 # --- pair search -----------------------------------------------------------
 # Every array of the search keeps its starts on the last axis: coordinates
 # (N, starts), pairs (..., starts), and a pair read as the real 4-vector
@@ -199,20 +191,11 @@ def _jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The composed pair q of each column of ``x`` (N, starts), shape (4, starts),
     and dq/dx_k = (g_{N-1} .. g_{k+1}) dg_k/dx_k (g_{k-1} .. g_0), shape (N, 4, starts)."""
     beta, dbeta = _fold(x)
-    s, c = np.sin(beta), np.cos(beta)
-    pi_s, pi_c = math.pi * s, math.pi * c
-    sp, cp = np.sin(pi_s), np.cos(pi_s)
-    s_sp = s * sp
-    # the pulse g = (-cos(pi s) - i s sin(pi s), i c sin(pi s)) and dg/dx,
-    # written part by part (the real parts of gb and db are 0)
-    g = np.zeros((4,) + x.shape, complex)
+    # the pulses g and dg/dx = dg/dbeta dbeta/dx, on the parts that are not 0
+    g = gate_pair(beta)
     ga, gb, da, db = g
-    np.negative(cp, out=ga.real)
-    np.negative(s_sp, out=ga.imag)
-    np.multiply(c, sp, out=gb.imag)
-    np.multiply(pi_c * sp, dbeta, out=da.real)
-    np.multiply(c * (sp + pi_s * cp), -dbeta, out=da.imag)
-    np.multiply(pi_c * c * cp - s_sp, dbeta, out=db.imag)
+    for part in (da.real, da.imag, db.imag):
+        part *= dbeta
     # prefix[:, k] = g_{k-1} .. g_0 and suffix[:, k] = g_{N-1} .. g_{k+1}
     n = len(x)
     prefix = np.empty((2, n + 1) + x.shape[1:], complex)

@@ -60,17 +60,24 @@ MUTATIONS = [
     ),
     (
         "search: a dg term scaled by 1 + 1e-9",
-        "synthesis.py",
-        "np.multiply(pi_c * sp, dbeta, out=da.real)",
-        "np.multiply(pi_c * sp * (1 + 1e-9), dbeta, out=da.real)",
+        "drive.py",
+        "np.multiply(pi_c, sp, out=da.real)",
+        "np.multiply(pi_c * (1 + 1e-9), sp, out=da.real)",
         "tests/test_synthesis.py::test_jacobian_matches_the_dual_number_product_to_rounding",
     ),
     (
         "search: a dg term dropped",
-        "synthesis.py",
-        "c * (sp + pi_s * cp)",
-        "c * sp",
+        "drive.py",
+        "np.multiply(-c, sp + pi_s * cp, out=da.imag)",
+        "np.multiply(-c, sp, out=da.imag)",
         "tests/test_golden.py::test_output_matches_its_golden_file[synth_NOT_4]",
+    ),
+    (
+        "gate_pair: the factor s dropped from Im a",
+        "drive.py",
+        "np.negative(s_sp, out=a.imag)",
+        "np.negative(sp, out=a.imag)",
+        "tests/test_drive.py::test_analytic_gate_is_the_pauli_exponential_to_2_eps",
     ),
     (
         "search: the J J^T terms summed over the pulses in reverse",

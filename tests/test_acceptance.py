@@ -17,13 +17,11 @@ from hologate import (
     analytic_gate,
     catalog,
     compose,
-    dynamical_integrand,
     fidelity,
     hamiltonian,
     invariant,
     invariant_residual,
     max_abs,
-    noncommutativity_witness,
     params_from_beta,
     propagate,
     refine,
@@ -32,6 +30,8 @@ from hologate import (
 )
 from hologate.cli import CHECK_BOUNDS, INVARIANT_ROUNDING_COEFF, invariant_rounding, verify_checks
 from hologate.cli import main as cli_main
+
+from oracles import dynamical_integrand, noncommutativity_witness
 
 BETA_GRID = np.linspace(0.0, math.pi / 2, 20)
 TWO_PI = 2.0 * math.pi

@@ -20,7 +20,6 @@ from hologate import (
     DriveParams,
     HolonomicGate,
     analytic_gate,
-    bloch_vectors,
     exact_propagator,
     invariant,
     max_abs,
@@ -35,6 +34,8 @@ from hologate.cli import (
     RunReport,
     main,
 )
+
+from oracles import bloch_vectors
 
 
 def run_cli(capsys, *argv):

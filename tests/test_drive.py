@@ -9,7 +9,6 @@ from hologate import (
     DriveParams,
     HolonomicGate,
     analytic_gate,
-    dynamical_integrand,
     eigensystem,
     exact_propagator,
     hamiltonian,
@@ -18,11 +17,12 @@ from hologate import (
     lr_phase,
     max_abs,
     params_from_beta,
-    pauli,
     propagate,
 )
+from hologate.drive import gate_pair
 
 from conftest import EPS, any_drive, random_drive
+from oracles import dynamical_integrand, pauli, su2_exp
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 SUBNORMAL = float(np.finfo(float).smallest_subnormal)
@@ -373,6 +373,31 @@ def test_analytic_gate_eigenphases():
             max(abs(vals[0] - expected[1]), abs(vals[1] - expected[0])),
         )
         assert min(pairings) < 1e-10
+
+
+@given(st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=40))
+@example([0.0])
+@example([math.pi / 2])
+@example([0.0, math.pi / 2] * 9)
+def test_gate_pair_of_an_array_is_gate_pair_of_each_beta_bit_for_bit(betas):
+    # the search evaluates U(beta) on arrays and analytic_gate on one beta:
+    # both must be the one closed form, to the bit and the sign of zero
+    together = gate_pair(np.array(betas))
+    one_by_one = np.stack([gate_pair(b) for b in betas], axis=-1)
+    assert together.shape == one_by_one.shape == (4, len(betas))
+    assert together.tobytes() == one_by_one.tobytes()
+
+
+def test_analytic_gate_is_the_pauli_exponential_to_2_eps():
+    # the textbook form normalizes the axis (-cos beta, 0, sin beta), whose
+    # computed norm is not 1 for some beta, so the two forms differ in bits:
+    # at 464 of these 2,001 beta, by at most 0.5 eps
+    worst = 0.0
+    for beta in np.linspace(0.0, math.pi / 2, 2001):
+        s, c = math.sin(beta), math.cos(beta)
+        reference = -su2_exp(math.pi * s, (-c, 0.0, s))
+        worst = max(worst, max_abs(analytic_gate(HolonomicGate(float(beta))) - reference))
+    assert worst <= 2 * EPS
 
 
 # --- dynamical integrand ----------------------------------------------------------

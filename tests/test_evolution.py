@@ -15,7 +15,6 @@ from hologate import (
     DriveParams,
     HolonomicGate,
     analytic_gate,
-    dynamical_integrand,
     eigensystem,
     exact_propagator,
     full_report,
@@ -32,6 +31,7 @@ from hologate.su2 import pair_matrix
 from conftest import any_drive, random_drive, rounding_bound
 from midpoint_oracle import midpoint_product
 from one_shot_product import step_factors, tree_product
+from oracles import dynamical_integrand
 
 I2 = np.eye(2, dtype=complex)
 

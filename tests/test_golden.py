@@ -16,6 +16,12 @@ to move: ``synth_Hadamard_7``, whose angles move by up to 1e-13 relative, past
 ``FLOAT_TOL``, and its byte-compared record with them. ``tests/dispatch_check.py``
 runs this file at every level the host offers and checks that statement.
 
+It holds for the host's default OpenBLAS core only: numpy's OpenBLAS picks
+its kernels for the CPU, and ``NPY_DISABLE_CPU_FEATURES`` does not reach
+them. Under ``OPENBLAS_CORETYPE=Haswell``, the core an AVX2 host gets, 13 of
+the 24 cases print other bytes (every ``verify`` case, ``catalog``, and
+``synth`` Phase/4 and Hadamard/7), and ``synth_Hadamard_7`` fails here.
+
 A change that moves output on purpose rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py

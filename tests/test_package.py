@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import shutil
 import subprocess
@@ -21,10 +23,8 @@ PUBLIC = [
     "TargetGate",
     "aa_eigenphases",
     "analytic_gate",
-    "bloch_vectors",
     "catalog",
     "compose",
-    "dynamical_integrand",
     "eigensystem",
     "exact_propagator",
     "fidelity",
@@ -36,15 +36,39 @@ PUBLIC = [
     "is_unitary",
     "lr_phase",
     "max_abs",
-    "noncommutativity_witness",
     "params_from_beta",
-    "pauli",
     "propagate",
     "refine",
     "standard_target",
-    "su2_exp",
     "synthesize",
 ]
+
+
+SRC = Path(hologate.__file__).resolve().parent
+
+#: The np.linalg call sites in src/, as (module, function, name). Each is a
+#: BLAS or LAPACK call whose bits depend on the OpenBLAS core; the set only
+#: shrinks.
+LINALG_CALLS = {
+    ("evolution", "aa_eigenphases", "eig"),
+    ("su2", "pair_of", "det"),
+    ("synthesis", "_descend", "solve"),
+}
+
+#: Public functions that nothing else in the package calls: the paper's
+#: holonomy condition, documented in README as API of its own. A helper that
+#: only the tests call belongs in tests/ (tests/oracles.py).
+UNCALLED_PUBLIC = {"holonomy_residual"}
+
+
+def _nodes():
+    """(module, top-level statement's name or None, node) for every node of
+    every module of the package but ``__init__``."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(statement):
+                    yield path.stem, getattr(statement, "name", None), node
 
 
 def test_all_is_sorted_unique_and_every_name_resolves():
@@ -76,3 +100,34 @@ def test_a_pythonpath_to_another_hologate_is_a_usage_error(tmp_path):
     assert f"but the tests import the one at {src / 'hologate'}" in refused.stderr
     # the Tier-1 command's PYTHONPATH=src is this checkout
     assert runs["src"].returncode == 0, runs["src"].stdout + runs["src"].stderr
+
+
+def test_the_np_linalg_call_sites_in_src_are_exactly_the_known_ones():
+    calls = set()
+    for module, where, node in _nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+            calls.add((module, where, node.attr))
+        # linalg reached any other way than as np.linalg.<name>
+        if isinstance(node, ast.ImportFrom):
+            assert "linalg" not in (node.module or ""), module
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not any("linalg" in alias.name for alias in node.names), module
+        assert not (isinstance(node, ast.Name) and node.id == "linalg"), module
+    assert calls == LINALG_CALLS
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a caller is a reference from any module but __init__, outside the
+    # function's own body: a helper that only the tests call belongs in tests/
+    callers = {}
+    for module, where, node in _nodes():
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        callers.setdefault(name, set()).add((module, where))
+    uncalled = set()
+    for name in hologate.__all__:
+        obj = getattr(hologate, name)
+        if inspect.isfunction(obj):
+            own_body = (obj.__module__.rpartition(".")[2], name)
+            if not callers.get(name, set()) - {own_body}:
+                uncalled.add(name)
+    assert uncalled == UNCALLED_PUBLIC

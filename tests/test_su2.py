@@ -5,19 +5,17 @@ from hypothesis import strategies as st
 
 from hologate import (
     PulseSequence,
-    bloch_vectors,
     compose,
     fidelity,
     is_unitary,
     max_abs,
-    pauli,
-    su2_exp,
 )
 from hologate.evolution import _closed_pairs
 from hologate.su2 import pair_bloch, pair_matrix, pair_mul, pair_of
 from hologate.synthesis import _fold, _jacobian
 
 from conftest import any_drive, random_unitary
+from oracles import bloch_vectors, pauli, su2_exp
 
 I2 = np.eye(2, dtype=complex)
 

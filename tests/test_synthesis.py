@@ -14,17 +14,18 @@ from hologate import (
     compose,
     fidelity,
     max_abs,
-    noncommutativity_witness,
     params_from_beta,
     refine,
     standard_target,
     synthesize,
 )
+from hologate.drive import gate_pair
 from hologate.synthesis import TOLERANCE, _descend, _fold, _jacobian, _residual, _target_pair
 
 import search_reference
 from conftest import random_unitary, rounding_bound
 from dual_jacobian import DUAL_JACOBIAN_K, jacobian_gap
+from oracles import noncommutativity_witness
 
 I2 = np.eye(2, dtype=complex)
 
@@ -273,6 +274,19 @@ def test_refine_rejects_no_betas(betas):
 
 
 # --- search internals ----------------------------------------------------------------
+
+
+def test_jacobian_pulse_pairs_are_gate_pair_of_the_folded_beta_bit_for_bit():
+    # one pulse per call, so the composed pair q is the pulse pair itself;
+    # the coordinates cross the fold at 0, pi/2 and pi
+    rng = np.random.default_rng(5)
+    x = np.concatenate(([[0.0, math.pi / 2, math.pi, -math.pi / 2]], rng.uniform(-4.0, 6.0, (1, 60))), axis=1)
+    x = x.reshape(4, 16)
+    want = gate_pair(_fold(x)[0])
+    for k in range(len(x)):
+        q, _ = _jacobian(x[k : k + 1])
+        a, b = want[:2, k]
+        assert np.stack((a.real, a.imag, b.real, b.imag)).tobytes() == q.tobytes()
 
 
 @given(coords=search_coords)
